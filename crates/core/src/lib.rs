@@ -79,7 +79,7 @@ pub use strategy::{
 };
 pub use system::{GameConfig, System};
 pub use tracker::{
-    simulate_period, simulate_period_routed, simulate_period_routed_full, simulate_period_traffic,
-    ForwardHistogram, ObservedStats, PeriodObservations, RoutingReport,
+    simulate_period, simulate_period_routed, simulate_period_traffic, ForwardHistogram,
+    ObservedStats, PeriodObservations, RoutingReport,
 };
 pub use view::{Epochs, SystemRead, SystemView};

@@ -22,7 +22,7 @@ use recluster_overlay::{MsgKind, SimNetwork};
 use recluster_types::{ClusterId, PeerId};
 
 use crate::global::{scost_normalized, wcost_normalized};
-use crate::protocol::locks::LockSet;
+use crate::protocol::locks::{LockSet, Verdict};
 use crate::protocol::memo::ProposalMemo;
 use crate::protocol::{ProtocolConfig, RelocationRequest};
 use crate::strategy::{ChainInfo, Proposal, RelocationStrategy};
@@ -63,6 +63,22 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
+    /// Runs `round(0)`, `round(1)`, … until a round forwards no request
+    /// (converged) or `max_rounds` are spent — the run loop of both
+    /// protocol drivers.
+    pub(crate) fn drive(
+        max_rounds: usize,
+        mut round: impl FnMut(usize) -> RoundOutcome,
+    ) -> RunOutcome {
+        let mut rounds: Vec<RoundOutcome> = Vec::new();
+        let mut converged = false;
+        while !converged && rounds.len() < max_rounds {
+            rounds.push(round(rounds.len()));
+            converged = rounds.last().is_some_and(|r| r.requests.is_empty());
+        }
+        RunOutcome { rounds, converged }
+    }
+
     /// Rounds executed until convergence (excluding the terminal empty
     /// round, matching how the paper counts "# Rounds"), or the full
     /// budget when not converged.
@@ -263,15 +279,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
                         peer,
                         gain: p.gain,
                     };
-                    let replace = match &best {
-                        None => true,
-                        Some(b) => {
-                            p.gain > b.gain + f64::EPSILON
-                                || ((p.gain - b.gain).abs() <= f64::EPSILON
-                                    && candidate.peer < b.peer)
-                        }
-                    };
-                    if replace {
+                    if best.is_none_or(|b| candidate.outranks(&b)) {
                         best = Some(candidate);
                     }
                 }
@@ -312,14 +320,10 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         RelocationRequest::sort_requests(&mut requests);
         let mut locks = LockSet::new();
         let mut granted = Vec::new();
-        for &req in &requests {
-            if req.src == req.dst {
-                continue;
-            }
-            if !self.config.use_locks || locks.admissible(req.src, req.dst) {
-                locks.grant(req.src, req.dst);
+        for req in &requests {
+            if locks.admit(req, self.config.use_locks) == Verdict::Granted {
                 net.send_many(MsgKind::GrantCoordination, 16, 2);
-                granted.push(req);
+                granted.push(*req);
             }
         }
         let moves: Vec<(PeerId, ClusterId)> = granted.iter().map(|r| (r.peer, r.dst)).collect();
@@ -359,18 +363,9 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
     /// compares against the best cost held in earlier periods, so a
     /// workload/content shock between two runs is visible to the second.
     pub fn run(&mut self, system: &mut System, net: &mut SimNetwork) -> RunOutcome {
-        let mut rounds = Vec::new();
-        let mut converged = false;
-        for round in 0..self.config.max_rounds {
-            let outcome = self.run_round(system, net, round);
-            let done = outcome.requests.is_empty();
-            rounds.push(outcome);
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        RunOutcome { rounds, converged }
+        RunOutcome::drive(self.config.max_rounds, |round| {
+            self.run_round(system, net, round)
+        })
     }
 }
 
@@ -463,11 +458,11 @@ mod tests {
             let outcome = engine.run_round(&mut sys, &mut net, round);
             let mut locks = LockSet::new();
             for g in &outcome.granted {
-                assert!(
-                    locks.admissible(g.src, g.dst),
+                assert_eq!(
+                    locks.admit(g, true),
+                    Verdict::Granted,
                     "grant order violated the lock rule"
                 );
-                locks.grant(g.src, g.dst);
             }
             if outcome.requests.is_empty() {
                 break;

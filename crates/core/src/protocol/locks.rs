@@ -10,18 +10,46 @@ use std::collections::HashSet;
 
 use recluster_types::ClusterId;
 
+use super::RelocationRequest;
+
+/// What phase 2 decides for one request of the sorted list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Granted: the move executes and both locks are installed.
+    Granted,
+    /// A request to stay put (`src == dst`): never granted.
+    SelfMove,
+    /// Denied: the destination lost a peer this round, so it is locked
+    /// against joins.
+    JoinLocked,
+    /// Denied: the source gained a peer this round, so it is locked
+    /// against leaves.
+    LeaveLocked,
+}
+
 /// Round-scoped cluster locks.
+///
+/// Phase 2 is one [`LockSet::admit`] call per request, in sorted order;
+/// the shared-state engine and every representative of the message
+/// runtime run exactly this step, so the two drivers cannot disagree on
+/// a grant.
 ///
 /// # Examples
 /// ```
-/// use recluster_core::protocol::LockSet;
-/// use recluster_types::ClusterId;
+/// use recluster_core::protocol::{LockSet, Verdict};
+/// use recluster_core::RelocationRequest;
+/// use recluster_types::{ClusterId, PeerId};
 ///
+/// let req = |src, dst| RelocationRequest {
+///     src: ClusterId(src),
+///     dst: ClusterId(dst),
+///     peer: PeerId(0),
+///     gain: 1.0,
+/// };
 /// let mut locks = LockSet::new();
-/// locks.grant(ClusterId(0), ClusterId(1)); // c0 → c1 granted
-/// assert!(!locks.admissible(ClusterId(2), ClusterId(0))); // joining c0 blocked
-/// assert!(!locks.admissible(ClusterId(1), ClusterId(2))); // leaving c1 blocked
-/// assert!(locks.admissible(ClusterId(0), ClusterId(1)));  // more c0 → c1 fine
+/// assert_eq!(locks.admit(&req(0, 1), true), Verdict::Granted);
+/// assert_eq!(locks.admit(&req(2, 0), true), Verdict::JoinLocked); // c0 lost a peer
+/// assert_eq!(locks.admit(&req(1, 2), true), Verdict::LeaveLocked); // c1 gained one
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LockSet {
@@ -40,6 +68,25 @@ impl LockSet {
     /// Whether a request `src → dst` may still be granted.
     pub fn admissible(&self, src: ClusterId, dst: ClusterId) -> bool {
         !self.no_leave.contains(&src) && !self.no_join.contains(&dst)
+    }
+
+    /// The phase-2 step for the next request of the sorted list: skips
+    /// a self-move, checks the lock rule (unless `use_locks` is off, the
+    /// ablation that grants every real move), and on a grant installs
+    /// both locks.
+    pub fn admit(&mut self, req: &RelocationRequest, use_locks: bool) -> Verdict {
+        if req.src == req.dst {
+            return Verdict::SelfMove;
+        }
+        if use_locks && !self.admissible(req.src, req.dst) {
+            return if self.leave_locked(req.src) {
+                Verdict::LeaveLocked
+            } else {
+                Verdict::JoinLocked
+            };
+        }
+        self.grant(req.src, req.dst);
+        Verdict::Granted
     }
 
     /// Records a granted request `src → dst`, installing both locks.
@@ -62,45 +109,59 @@ impl LockSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recluster_types::PeerId;
+
+    fn req(src: u32, dst: u32) -> RelocationRequest {
+        RelocationRequest {
+            src: ClusterId(src),
+            dst: ClusterId(dst),
+            peer: PeerId(7),
+            gain: 0.5,
+        }
+    }
 
     #[test]
-    fn fresh_locks_admit_everything() {
-        let locks = LockSet::new();
+    fn admit_grants_and_installs_both_locks() {
+        let mut locks = LockSet::new();
         assert!(locks.admissible(ClusterId(0), ClusterId(1)));
-        assert!(!locks.join_locked(ClusterId(0)));
-        assert!(!locks.leave_locked(ClusterId(0)));
-    }
-
-    #[test]
-    fn grant_blocks_reverse_swap() {
-        // p: c0 → c1 granted; the swap q: c1 → c0 must be blocked on
-        // both directions.
-        let mut locks = LockSet::new();
-        locks.grant(ClusterId(0), ClusterId(1));
-        assert!(!locks.admissible(ClusterId(1), ClusterId(0)));
-    }
-
-    #[test]
-    fn grant_blocks_cycles_of_length_three() {
-        // c0→c1 and c1→c2 cannot both be granted: after c0→c1, leaving
-        // c1 is locked.
-        let mut locks = LockSet::new();
-        locks.grant(ClusterId(0), ClusterId(1));
-        assert!(!locks.admissible(ClusterId(1), ClusterId(2)));
-        // But c2→c1 (another join to c1) is fine…
-        assert!(locks.admissible(ClusterId(2), ClusterId(1)));
-        // …and so is another leave from c0.
-        assert!(locks.admissible(ClusterId(0), ClusterId(3)));
-    }
-
-    #[test]
-    fn multiple_leaves_from_same_cluster_allowed() {
-        let mut locks = LockSet::new();
-        locks.grant(ClusterId(0), ClusterId(1));
-        locks.grant(ClusterId(0), ClusterId(2));
-        assert!(locks.join_locked(ClusterId(0)));
-        assert!(locks.leave_locked(ClusterId(1)));
+        assert_eq!(locks.admit(&req(0, 1), true), Verdict::Granted);
+        assert!(locks.join_locked(ClusterId(0)) && locks.leave_locked(ClusterId(1)));
+        // More leaves from c0 and more joins to c1 stay admissible.
+        assert_eq!(locks.admit(&req(0, 2), true), Verdict::Granted);
         assert!(locks.leave_locked(ClusterId(2)));
+        assert_eq!(locks.admit(&req(3, 1), true), Verdict::Granted);
+    }
+
+    #[test]
+    fn admit_denies_by_the_lock_rule() {
+        // c0 → c1 granted: joining c0 and leaving c1 are blocked, which
+        // stops both the swap c1 → c0 and the 3-cycle step c1 → c2.
+        let mut locks = LockSet::new();
+        locks.admit(&req(0, 1), true);
+        assert_eq!(locks.admit(&req(2, 0), true), Verdict::JoinLocked);
+        assert_eq!(locks.admit(&req(1, 2), true), Verdict::LeaveLocked);
+        assert_eq!(locks.admit(&req(1, 0), true), Verdict::LeaveLocked);
+        // A denial installs nothing: c2 may still be left.
+        assert_eq!(locks.admit(&req(2, 3), true), Verdict::Granted);
+    }
+
+    #[test]
+    fn admit_skips_self_moves_without_locking() {
+        let mut locks = LockSet::new();
+        for use_locks in [true, false] {
+            assert_eq!(locks.admit(&req(2, 2), use_locks), Verdict::SelfMove);
+        }
+        assert!(!locks.join_locked(ClusterId(2)) && !locks.leave_locked(ClusterId(2)));
+    }
+
+    #[test]
+    fn admit_with_locks_off_grants_every_real_move() {
+        let mut locks = LockSet::new();
+        for (src, dst) in [(0, 1), (1, 0), (2, 0)] {
+            assert_eq!(locks.admit(&req(src, dst), false), Verdict::Granted);
+        }
+        // The locks are still recorded.
+        assert_eq!(locks.admit(&req(1, 2), true), Verdict::LeaveLocked);
     }
 
     #[test]

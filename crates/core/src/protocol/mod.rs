@@ -32,7 +32,7 @@ mod memo;
 pub mod runtime;
 
 pub use engine::{ProtocolEngine, RoundOutcome, RunOutcome};
-pub use locks::LockSet;
+pub use locks::{LockSet, Verdict};
 pub use memo::ProposalMemo;
 pub use runtime::{
     DelayDist, DenyReason, EvidenceLog, FaultReport, LiarConfig, Message, NetConfig, NetStats,
@@ -59,6 +59,16 @@ pub struct RelocationRequest {
 }
 
 impl RelocationRequest {
+    /// Whether a representative prefers this request over `best`, its
+    /// pick so far among its members' requests: a higher gain beyond an
+    /// `f64::EPSILON` window, or a gain within the window from a lower
+    /// peer id. Walking members in ascending peer order with this rule
+    /// is phase 1's pick in both protocol drivers.
+    pub(crate) fn outranks(&self, best: &RelocationRequest) -> bool {
+        self.gain > best.gain + f64::EPSILON
+            || ((self.gain - best.gain).abs() <= f64::EPSILON && self.peer < best.peer)
+    }
+
     /// Deterministic phase-2 ordering: gain descending, ties broken by
     /// `(src, dst, peer)` so all representatives sort identically.
     pub fn sort_requests(requests: &mut [RelocationRequest]) {

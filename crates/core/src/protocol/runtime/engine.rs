@@ -243,17 +243,18 @@ impl EvidenceLog {
             if fraud_reveal {
                 reveal_mismatch.push(rec.peer);
             }
-            if !stats.has_observations() || !stats.covers(rec.peer) {
-                skipped += 1;
-                continue;
-            }
-            audited += 1;
             // Evaluate in the claim's own frame of reference — the
             // peer claimed `gain` for leaving `from` — so statistics
             // observed before the move reproduce the decision-time
-            // arithmetic (stay-cost minus join-cost) exactly.
-            let est_gain = stats.estimated_pcost(system, rec.peer, rec.from, Some(rec.from))
-                - stats.estimated_pcost(system, rec.peer, rec.to, Some(rec.from));
+            // arithmetic (stay-cost minus join-cost) exactly. A peer the
+            // statistics do not cover cannot be audited.
+            let estimate = |cid| stats.estimated_pcost(system, rec.peer, cid, Some(rec.from));
+            let (Some(stay), Some(join)) = (estimate(rec.from), estimate(rec.to)) else {
+                skipped += 1;
+                continue;
+            };
+            audited += 1;
+            let est_gain = stay - join;
             if rec.claimed_gain > est_gain + tolerance {
                 inflated.push(rec.peer);
             } else if !fraud_reveal && (rec.claimed_gain - rec.oracle_gain).abs() > tolerance {
@@ -786,20 +787,11 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
     }
 
     /// Runs rounds until a request-free round (converged) or the round
-    /// budget is exhausted — the sync engine's loop, verbatim.
+    /// budget is exhausted — the sync engine's run loop itself.
     pub fn run(&mut self, system: &mut System, ledger: &mut SimNetwork) -> RunOutcome {
-        let mut rounds = Vec::new();
-        let mut converged = false;
-        for round in 0..self.config.max_rounds {
-            let outcome = self.run_round(system, ledger, round);
-            let done = outcome.requests.is_empty();
-            rounds.push(outcome);
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        RunOutcome { rounds, converged }
+        RunOutcome::drive(self.config.max_rounds, |round| {
+            self.run_round(system, ledger, round)
+        })
     }
 }
 

@@ -12,11 +12,14 @@
 //! phase 1 collects member gain reports and forwards the cluster's best
 //! as a single request; phase 2 collects every other representative's
 //! forward, sorts the union exactly like the sync engine
-//! ([`RelocationRequest::sort_requests`]) and applies the anti-cycle
-//! lock rule to decide its own cluster's grant. Each phase fires when
-//! its collection is complete *or* its deadline passes — under an ideal
-//! schedule collections always complete, which is what makes the
-//! runtime bit-identical to [`ProtocolEngine`]; under delay or loss the
+//! ([`RelocationRequest::sort_requests`]) and runs the engine's own
+//! phase-2 step ([`LockSet::admit`]) to decide its own cluster's grant.
+//! The phase-1 pick (`RelocationRequest::outranks`) and the phase-2
+//! step are the sync engine's code, not a copy, so what the runtime adds
+//! is only the transport. Each phase fires when its collection is
+//! complete *or* its deadline passes — under an ideal schedule
+//! collections always complete, which is what makes the runtime
+//! bit-identical to [`ProtocolEngine`]; under delay or loss the
 //! deadline path produces exactly the stale-view decisions the sweep
 //! scenarios measure.
 //!
@@ -37,7 +40,7 @@ use recluster_overlay::MsgKind;
 use recluster_types::{ClusterId, PeerId};
 
 use super::message::{gain_commitment, DenyReason, Message};
-use crate::protocol::locks::LockSet;
+use crate::protocol::locks::{LockSet, Verdict};
 use crate::protocol::RelocationRequest;
 
 /// A decision event a machine reports up to its driver — the runtime's
@@ -489,15 +492,7 @@ impl RepState {
         self.reports.sort_by_key(|(r, _)| r.peer);
         let mut best: Option<(RelocationRequest, u64)> = None;
         for &candidate in &self.reports {
-            let replace = match &best {
-                None => true,
-                Some((b, _)) => {
-                    candidate.0.gain > b.gain + f64::EPSILON
-                        || ((candidate.0.gain - b.gain).abs() <= f64::EPSILON
-                            && candidate.0.peer < b.peer)
-                }
-            };
-            if replace {
+            if best.is_none_or(|(b, _)| candidate.0.outranks(&b)) {
                 best = Some(candidate);
             }
         }
@@ -531,9 +526,9 @@ impl RepState {
     }
 
     /// Phase 2: sort everything heard exactly like the sync engine and
-    /// run the lock-rule scan; grant or deny the *own* cluster's request
-    /// (every representative decides only for its own cluster, from
-    /// what its view of the request list locks first).
+    /// run its admission step over the list; grant or deny the *own*
+    /// cluster's request (every representative decides only for its own
+    /// cluster, from what its view of the request list locks first).
     fn fire_phase2(&mut self, peer: PeerId, cluster: ClusterId, out: &mut Outbox) {
         self.phase2_fired = true;
         let mut all: Vec<RelocationRequest> = self.peer_requests.clone();
@@ -547,16 +542,12 @@ impl RepState {
         }
         let mut locks = LockSet::new();
         for &req in &all {
-            let is_own = req.src == cluster;
-            if req.src == req.dst {
-                if is_own {
-                    self.deny(peer, req, DenyReason::SelfMove, out);
-                }
+            let verdict = locks.admit(&req, self.use_locks);
+            if req.src != cluster {
                 continue;
             }
-            if !self.use_locks || locks.admissible(req.src, req.dst) {
-                locks.grant(req.src, req.dst);
-                if is_own {
+            match verdict {
+                Verdict::Granted => {
                     out.send(
                         peer,
                         req.peer,
@@ -570,8 +561,10 @@ impl RepState {
                     );
                     out.event(MachineEvent::Granted(req));
                 }
-            } else if is_own {
-                self.deny(peer, req, DenyReason::Locked, out);
+                Verdict::SelfMove => self.deny(peer, req, DenyReason::SelfMove, out),
+                Verdict::JoinLocked | Verdict::LeaveLocked => {
+                    self.deny(peer, req, DenyReason::Locked, out)
+                }
             }
         }
     }

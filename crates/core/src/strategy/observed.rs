@@ -145,17 +145,14 @@ impl RelocationStrategy for ObservedStrategy<'_> {
 
     fn propose(&self, view: &SystemView<'_>, peer: PeerId, allow_empty: bool) -> Option<Proposal> {
         let current = view.overlay().cluster_of(peer)?;
-        if !self.stats.covers(peer) {
-            // No observation slot (nothing absorbed yet, or the peer
-            // joined after the last period): a real peer has nothing to
-            // decide on and stays put.
-            return None;
-        }
+        // A peer without observations (nothing absorbed yet, or it
+        // joined after the last period) has no estimates, serves
+        // nothing, and so stays put under every objective.
         match self.objective {
             ObservedObjective::Selfish => {
-                let current_cost = self
-                    .stats
-                    .estimated_pcost(view, peer, current, Some(current));
+                let current_cost =
+                    self.stats
+                        .estimated_pcost(view, peer, current, Some(current))?;
                 let (to, cost) =
                     self.stats
                         .selfish_choice(view, peer, Some(current), allow_empty)?;
@@ -199,9 +196,9 @@ impl RelocationStrategy for ObservedStrategy<'_> {
                 })
             }
             ObservedObjective::Hybrid(lambda) => {
-                let current_cost = self
-                    .stats
-                    .estimated_pcost(view, peer, current, Some(current));
+                let current_cost =
+                    self.stats
+                        .estimated_pcost(view, peer, current, Some(current))?;
                 let current_contribution = self.stats.estimated_contribution(peer, current);
                 let mut best = None;
                 for cid in view.overlay().cluster_ids() {
@@ -211,8 +208,8 @@ impl RelocationStrategy for ObservedStrategy<'_> {
                     if view.overlay().cluster(cid).is_empty() && !allow_empty {
                         continue;
                     }
-                    let pgain =
-                        current_cost - self.stats.estimated_pcost(view, peer, cid, Some(current));
+                    let pgain = current_cost
+                        - self.stats.estimated_pcost(view, peer, cid, Some(current))?;
                     let clgain = self.stats.estimated_contribution(peer, cid)
                         - current_contribution
                         - membership_increase(view, peer, cid);

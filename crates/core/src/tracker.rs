@@ -7,8 +7,9 @@
 //! track of the number of results it sends to queries coming from a
 //! particular cluster" (the contribution measure). [`simulate_period`]
 //! routes every peer's workload through the overlay and accumulates
-//! exactly those observations; under flood routing the derived estimates
-//! coincide with the oracle values computed from the [`RecallIndex`](crate::recall::RecallIndex)
+//! exactly those observations as plain data; [`ObservedStats`] folds
+//! them and is the one estimator. Under flood routing its estimates
+//! coincide with the oracle values computed from the [`RecallIndex`]
 //! (property-tested in `tests/`).
 //!
 //! # Examples
@@ -188,17 +189,6 @@ impl ForwardHistogram {
         self.total += occurrences;
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &ForwardHistogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (slot, &n) in other.counts.iter().enumerate() {
-            self.counts[slot] += n;
-        }
-        self.total += other.total;
-    }
-
     /// Total query occurrences recorded.
     pub fn total_occurrences(&self) -> u64 {
         self.total
@@ -239,21 +229,6 @@ impl ForwardHistogram {
             .rposition(|&n| n > 0)
             .map_or(0, |f| f as u64)
     }
-
-    /// Mean forwards per occurrence (0.0 when empty). A ratio of exact
-    /// integer sums, so it is reproducible to the bit.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(f, &n)| f as u64 * n)
-            .sum();
-        weighted as f64 / self.total as f64
-    }
 }
 
 /// Routes every live peer's workload through the overlay (flooding all
@@ -278,20 +253,6 @@ pub fn simulate_period_routed(
     net: &mut SimNetwork,
     mode: RoutingMode,
 ) -> (PeriodObservations, RoutingReport) {
-    let (obs, report, _) = simulate_period_routed_full(system, net, mode);
-    (obs, report)
-}
-
-/// [`simulate_period_routed`], additionally returning the
-/// occurrence-weighted [`ForwardHistogram`] of per-query forward counts
-/// (one record per distinct live query, weighted by its total demand).
-/// The observations and report are bit-identical to the plain variant —
-/// the histogram only *observes* the forwards already charged.
-pub fn simulate_period_routed_full(
-    system: &System,
-    net: &mut SimNetwork,
-    mode: RoutingMode,
-) -> (PeriodObservations, RoutingReport, ForwardHistogram) {
     let core = run_period_core(system, net, mode, true);
     let overlay = system.overlay();
     let index = system.index();
@@ -327,26 +288,23 @@ pub fn simulate_period_routed_full(
             n_peers: overlay.n_peers(),
         },
         core.report,
-        core.histogram,
     )
 }
 
 /// Traffic-only period: charges `net` and returns the [`RoutingReport`]
-/// and [`ForwardHistogram`] **bit-identical** to
-/// [`simulate_period_routed_full`] under the same state, while skipping
-/// the per-peer observation fan-out and the served-credit accumulation
-/// entirely. This is what the churn driver's query-traffic measurement
-/// wants — at a million peers, materializing per-requester observation
-/// records (one per distinct workload query per peer) dominates both
-/// the allocation volume and the peak RSS of a period, and the oracle
-/// repair path never reads them.
+/// **bit-identical** to [`simulate_period_routed`] under the same state,
+/// while skipping the per-peer observation fan-out and the served-credit
+/// accumulation entirely. This is what the churn driver's query-traffic
+/// measurement wants — at a million peers, materializing per-requester
+/// observation records (one per distinct workload query per peer)
+/// dominates both the allocation volume and the peak RSS of a period,
+/// and the oracle repair path never reads them.
 pub fn simulate_period_traffic(
     system: &System,
     net: &mut SimNetwork,
     mode: RoutingMode,
-) -> (RoutingReport, ForwardHistogram) {
-    let core = run_period_core(system, net, mode, false);
-    (core.report, core.histogram)
+) -> RoutingReport {
+    run_period_core(system, net, mode, false).report
 }
 
 /// One distinct query's shared evaluation — identical for every
@@ -526,15 +484,14 @@ fn eval_query(
 
 /// The shared period walk behind both public variants: evaluate every
 /// distinct query (sharded across the rayon shim when the system is
-/// large), then fold the packets into the network, report, histogram
-/// and — when `collect` — the served-credit state and per-query evals,
-/// in one sequential qid-order merge.
+/// large), then fold the packets into the network, report and — when
+/// `collect` — the served-credit state and per-query evals, in one
+/// sequential qid-order merge.
 struct PeriodCore {
     evals: Vec<Option<QueryEval>>,
     served: Vec<BTreeMap<ClusterId, f64>>,
     served_total: Vec<f64>,
     report: RoutingReport,
-    histogram: ForwardHistogram,
 }
 
 fn run_period_core(
@@ -625,7 +582,6 @@ fn run_period_core(
         returned_results: 0,
         missed_results: 0,
     };
-    let mut histogram = ForwardHistogram::new();
     let mut evals: Vec<Option<QueryEval>> = Vec::with_capacity(if collect { n_queries } else { 0 });
     let mut served: Vec<BTreeMap<ClusterId, f64>> =
         vec![BTreeMap::new(); if collect { n_slots } else { 0 }];
@@ -642,7 +598,6 @@ fn run_period_core(
         report.query_events += p.total_demand;
         report.flood_forwards += non_empty.len() as u64 * p.total_demand;
         report.forwards += p.forwards * p.total_demand;
-        histogram.record(p.forwards as usize, p.total_demand);
         report.missed_results += p.missed * p.total_demand;
         report.returned_results += p.total * p.total_demand;
         if !collect {
@@ -684,7 +639,6 @@ fn run_period_core(
         served,
         served_total,
         report,
-        histogram,
     }
 }
 
@@ -693,135 +647,22 @@ impl PeriodObservations {
     pub fn of(&self, peer: PeerId) -> &[QueryObservation] {
         &self.observations[peer.index()]
     }
-
-    /// The peer's estimate of `pcost(p, cid)` from its observations: the
-    /// join-inclusive membership cost plus, per query, the fraction of
-    /// observed results *not* obtainable from `cid` (counting the peer's
-    /// own documents as in-cluster wherever it goes).
-    ///
-    /// Generic over [`SystemRead`] so it works against both `&System`
-    /// and a phase-1 [`SystemView`](crate::view::SystemView) — only the
-    /// game configuration is read from the system; everything else comes
-    /// from the observations. Clusters created after the observation
-    /// snapshot (a grown `Cmax`) are treated as empty.
-    pub fn estimated_pcost<S: SystemRead + ?Sized>(
-        &self,
-        system: &S,
-        peer: PeerId,
-        cid: ClusterId,
-        currently_in: Option<ClusterId>,
-    ) -> f64 {
-        let cfg = system.config();
-        let in_cluster = currently_in == Some(cid);
-        let size = self.sizes.get(cid.index()).copied().unwrap_or(0) + usize::from(!in_cluster);
-        let membership = cfg.alpha * cfg.theta.membership(size, self.n_peers);
-        let mut loss = 0.0;
-        for obs in &self.observations[peer.index()] {
-            if obs.total == 0 {
-                continue;
-            }
-            let mut inside = obs.cluster_count(cid);
-            if !in_cluster {
-                inside += obs.own;
-            }
-            let frac = (inside as f64 / obs.total as f64).min(1.0);
-            loss += obs.weight * (1.0 - frac);
-        }
-        membership + loss
-    }
-
-    /// The peer's observed `contribution(p, cid)` (Eq. 6).
-    pub fn estimated_contribution(&self, peer: PeerId, cid: ClusterId) -> f64 {
-        let total = self.served_total[peer.index()];
-        if total == 0.0 {
-            0.0
-        } else {
-            self.served[peer.index()].get(&cid).copied().unwrap_or(0.0) / total
-        }
-    }
-
-    /// The cluster minimizing the estimated `pcost` for `peer` — the
-    /// selfish selection rule (Eq. 5) evaluated on observations.
-    ///
-    /// Scans exactly the candidate set of the oracle
-    /// [`best_response`](crate::equilibrium::best_response) — non-empty
-    /// clusters in ascending id order, with the *first* empty slot
-    /// interleaved at its id position when `allow_empty` — and applies
-    /// the same [`COST_EPS`] stay-on-tie rule, so observed and oracle
-    /// selection can only diverge when the cost *estimates* diverge,
-    /// never on candidate enumeration or tie handling. Returns `None`
-    /// only when there are no candidate clusters at all.
-    pub fn selfish_choice<S: SystemRead + ?Sized>(
-        &self,
-        system: &S,
-        peer: PeerId,
-        currently_in: Option<ClusterId>,
-        allow_empty: bool,
-    ) -> Option<(ClusterId, f64)> {
-        selfish_scan(system, currently_in, allow_empty, |cid| {
-            self.estimated_pcost(system, peer, cid, currently_in)
-        })
-    }
 }
 
-/// The shared candidate walk behind observed selfish selection: mirrors
-/// the oracle `best_response` enumeration (non-empty ids ascending, the
-/// first empty slot interleaved at its id position when `allow_empty`)
-/// and its `COST_EPS` stay-on-tie rule, over an arbitrary estimated-cost
-/// function. The incumbent cluster seeds the scan so ties always resolve
-/// toward staying, exactly as the oracle resolves them.
-fn selfish_scan<S: SystemRead + ?Sized>(
-    system: &S,
-    currently_in: Option<ClusterId>,
-    allow_empty: bool,
-    cost_of: impl Fn(ClusterId) -> f64,
-) -> Option<(ClusterId, f64)> {
-    let mut best: Option<(ClusterId, f64)> = currently_in.map(|cur| (cur, cost_of(cur)));
-    let consider = |cid: ClusterId, best: &mut Option<(ClusterId, f64)>| {
-        if currently_in == Some(cid) {
-            return; // already seeded as the incumbent
-        }
-        let cost = cost_of(cid);
-        let better = match *best {
-            None => true,
-            Some((_, b)) => cost < b - COST_EPS,
-        };
-        if better {
-            *best = Some((cid, cost));
-        }
-    };
-    let mut pending_empty = if allow_empty {
-        system.overlay().first_empty_cluster()
-    } else {
-        None
-    };
-    for &cid in system.overlay().non_empty_ids() {
-        if let Some(empty) = pending_empty {
-            if empty < cid {
-                consider(empty, &mut best);
-                pending_empty = None;
-            }
-        }
-        consider(cid, &mut best);
-    }
-    if let Some(empty) = pending_empty {
-        consider(empty, &mut best);
-    }
-    best
-}
-
-/// Multi-period accumulator over [`PeriodObservations`] with exponential
-/// decay — the statistics state a long-lived peer actually maintains
-/// (§3.1: observations are refreshed every period `T`).
+/// The observed-cost estimator: a multi-period accumulator over
+/// [`PeriodObservations`] with exponential decay — the statistics state
+/// a long-lived peer actually maintains (§3.1: observations are
+/// refreshed every period `T`). Every observed estimate in the system
+/// (`pcost`, contribution, the selfish choice) is computed here; a
+/// single period is estimated by absorbing it with decay 0.
 ///
 /// Folding is an exponential moving average with retention
 /// `decay ∈ [0, 1)`: after absorbing a period, every observed count is
 /// `decay · previous + (1 − decay) · new`. With `decay = 0` the
-/// accumulator holds *exactly* the latest period — its estimates and
-/// selfish choice are bit-identical to querying that
-/// [`PeriodObservations`] directly (the `prop_observed` keystone
-/// equivalence; the replace is literal, not arithmetic, so no ulp can
-/// creep in).
+/// accumulator holds *exactly* the latest period — its estimates are
+/// bit-identical to those of an accumulator that absorbed only that
+/// period (the `prop_observed` keystone equivalence; the replace is
+/// literal, not arithmetic, so no ulp can creep in).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObservedStats {
     decay: f64,
@@ -880,21 +721,9 @@ impl ObservedStats {
         }
     }
 
-    /// The configured retention factor.
-    pub fn decay(&self) -> f64 {
-        self.decay
-    }
-
     /// Number of periods folded in so far.
     pub fn periods_absorbed(&self) -> usize {
         self.periods
-    }
-
-    /// Whether at least one period has been absorbed (estimates are
-    /// meaningless — and [`Self::selfish_choice`] returns `None` —
-    /// before that).
-    pub fn has_observations(&self) -> bool {
-        self.folded.is_some()
     }
 
     /// Folds one period of observations into the accumulator.
@@ -916,34 +745,24 @@ impl ObservedStats {
         let old = self.folded.as_ref().expect("checked above");
         let lambda = self.decay;
         let keep = 1.0 - lambda;
-        let n = period.n_peers;
-        let mut observations = Vec::with_capacity(n);
+        let mut observations = Vec::with_capacity(period.observations.len());
         for (slot, records) in period.observations.iter().enumerate() {
             let previous = old.observations.get(slot).map(Vec::as_slice).unwrap_or(&[]);
             let by_query: BTreeMap<&Query, &FoldedQuery> =
                 previous.iter().map(|f| (&f.query, f)).collect();
             let mut folded = Vec::with_capacity(records.len());
             for obs in records {
-                folded.push(match by_query.get(&obs.query) {
-                    Some(prev) => fold_query(prev, obs, lambda, keep),
-                    None => FoldedQuery {
-                        query: obs.query.clone(),
-                        weight: obs.weight,
-                        per_cluster: obs
-                            .per_cluster
-                            .iter()
-                            .map(|&(c, v)| (c, keep * v as f64))
-                            .collect(),
-                        total: keep * obs.total as f64,
-                        own: keep * obs.own as f64,
-                    },
-                });
+                let prev = by_query.get(&obs.query).copied();
+                folded.push(fold_query(prev, obs, lambda, keep));
             }
             observations.push(folded);
         }
-        let mut served = Vec::with_capacity(n);
-        let mut served_total = Vec::with_capacity(n);
-        for slot in 0..n {
+        // Served credit is kept per *slot*, departed ones included, so
+        // every slot the observations cover has a contribution row.
+        let n_slots = period.served.len();
+        let mut served = Vec::with_capacity(n_slots);
+        let mut served_total = Vec::with_capacity(n_slots);
+        for slot in 0..n_slots {
             let mut map: BTreeMap<ClusterId, f64> = period.served[slot]
                 .iter()
                 .map(|(&c, &v)| (c, keep * v))
@@ -966,28 +785,134 @@ impl ObservedStats {
         });
     }
 
-    /// The decayed estimate of `pcost(p, cid)` — same arithmetic as
-    /// [`PeriodObservations::estimated_pcost`], over decayed counts.
+    /// The folded state and `peer`'s observation records, or `None`
+    /// before any absorbed period and for a peer that joined after the
+    /// last one — a peer without observations has nothing to estimate
+    /// from.
+    fn records(&self, peer: PeerId) -> Option<(&FoldedObservations, &[FoldedQuery])> {
+        let folded = self.folded.as_ref()?;
+        let records = folded.observations.get(peer.index())?;
+        Some((folded, records))
+    }
+
+    /// The peer's estimate of `pcost(p, cid)` from its observations: the
+    /// join-inclusive membership cost plus, per query, the fraction of
+    /// observed results *not* obtainable from `cid` (counting the peer's
+    /// own documents as in-cluster wherever it goes). `None` when the
+    /// accumulator holds no observations of `peer` (nothing absorbed
+    /// yet, or the peer joined after the last period).
     ///
-    /// # Panics
-    /// Panics if no period has been absorbed.
+    /// Generic over [`SystemRead`] so it works against both `&System`
+    /// and a phase-1 [`SystemView`](crate::view::SystemView) — only the
+    /// game configuration is read from the system; everything else comes
+    /// from the observations. Clusters created after the observation
+    /// snapshot (a grown `Cmax`) are treated as empty.
     pub fn estimated_pcost<S: SystemRead + ?Sized>(
         &self,
         system: &S,
         peer: PeerId,
         cid: ClusterId,
         currently_in: Option<ClusterId>,
-    ) -> f64 {
-        let folded = self
-            .folded
+    ) -> Option<f64> {
+        let (folded, records) = self.records(peer)?;
+        Some(folded.pcost(records, system, cid, currently_in))
+    }
+
+    /// Total decayed demand-weighted results `peer` served — the
+    /// denominator of the observed contribution. Zero when the
+    /// accumulator holds no observations of `peer`.
+    pub fn served_total(&self, peer: PeerId) -> f64 {
+        self.folded
             .as_ref()
-            .expect("estimated_pcost before any absorbed period");
+            .and_then(|f| f.served_total.get(peer.index()))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
+    /// The decayed observed `contribution(p, cid)` (Eq. 6); zero when
+    /// the accumulator holds no observations of `peer` or the peer
+    /// served nothing.
+    pub fn estimated_contribution(&self, peer: PeerId, cid: ClusterId) -> f64 {
+        let total = self.served_total(peer);
+        match &self.folded {
+            Some(folded) if total != 0.0 => {
+                folded.served[peer.index()]
+                    .get(&cid)
+                    .copied()
+                    .unwrap_or(0.0)
+                    / total
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// The cluster minimizing the estimated `pcost` for `peer` — the
+    /// selfish selection rule (Eq. 5) evaluated on observations. `None`
+    /// when the accumulator holds no observations of `peer`, or when
+    /// there are no candidate clusters at all.
+    ///
+    /// Scans exactly the candidate set of the oracle
+    /// [`best_response`](crate::equilibrium::best_response) — non-empty
+    /// clusters in ascending id order, with the *first* empty slot
+    /// interleaved at its id position when `allow_empty` — and applies
+    /// the same [`COST_EPS`] stay-on-tie rule (the incumbent seeds the
+    /// scan), so observed and oracle selection can only diverge when
+    /// the cost *estimates* diverge, never on candidate enumeration or
+    /// tie handling.
+    pub fn selfish_choice<S: SystemRead + ?Sized>(
+        &self,
+        system: &S,
+        peer: PeerId,
+        currently_in: Option<ClusterId>,
+        allow_empty: bool,
+    ) -> Option<(ClusterId, f64)> {
+        let (folded, records) = self.records(peer)?;
+        let cost_of = |cid| folded.pcost(records, system, cid, currently_in);
+        let mut best: Option<(ClusterId, f64)> = currently_in.map(|cur| (cur, cost_of(cur)));
+        let mut consider = |cid: ClusterId| {
+            if currently_in == Some(cid) {
+                return; // already seeded as the incumbent
+            }
+            let cost = cost_of(cid);
+            if best.is_none_or(|(_, b)| cost < b - COST_EPS) {
+                best = Some((cid, cost));
+            }
+        };
+        let mut pending_empty = if allow_empty {
+            system.overlay().first_empty_cluster()
+        } else {
+            None
+        };
+        for &cid in system.overlay().non_empty_ids() {
+            if let Some(empty) = pending_empty.filter(|&empty| empty < cid) {
+                consider(empty);
+                pending_empty = None;
+            }
+            consider(cid);
+        }
+        if let Some(empty) = pending_empty {
+            consider(empty);
+        }
+        best
+    }
+}
+
+impl FoldedObservations {
+    /// `pcost` of moving to (or staying in) `cid`, estimated from one
+    /// peer's `records` — see [`ObservedStats::estimated_pcost`].
+    fn pcost<S: SystemRead + ?Sized>(
+        &self,
+        records: &[FoldedQuery],
+        system: &S,
+        cid: ClusterId,
+        currently_in: Option<ClusterId>,
+    ) -> f64 {
         let cfg = system.config();
         let in_cluster = currently_in == Some(cid);
-        let size = folded.sizes.get(cid.index()).copied().unwrap_or(0) + usize::from(!in_cluster);
-        let membership = cfg.alpha * cfg.theta.membership(size, folded.n_peers);
+        let size = self.sizes.get(cid.index()).copied().unwrap_or(0) + usize::from(!in_cluster);
+        let membership = cfg.alpha * cfg.theta.membership(size, self.n_peers);
         let mut loss = 0.0;
-        for obs in &folded.observations[peer.index()] {
+        for obs in records {
             if obs.total == 0.0 {
                 continue;
             }
@@ -1001,61 +926,6 @@ impl ObservedStats {
         membership + loss
     }
 
-    /// Whether `peer` has an observation slot — false before any period
-    /// is absorbed or for a peer that joined after the last one. A peer
-    /// without a slot has nothing to decide on.
-    pub fn covers(&self, peer: PeerId) -> bool {
-        self.folded
-            .as_ref()
-            .is_some_and(|f| peer.index() < f.observations.len())
-    }
-
-    /// Total decayed demand-weighted results `peer` served — the
-    /// denominator of the observed contribution. Zero before any
-    /// absorbed period.
-    pub fn served_total(&self, peer: PeerId) -> f64 {
-        self.folded
-            .as_ref()
-            .map_or(0.0, |f| f.served_total[peer.index()])
-    }
-
-    /// The decayed observed `contribution(p, cid)` (Eq. 6); zero before
-    /// any period is absorbed or when the peer served nothing.
-    pub fn estimated_contribution(&self, peer: PeerId, cid: ClusterId) -> f64 {
-        let Some(folded) = self.folded.as_ref() else {
-            return 0.0;
-        };
-        let total = folded.served_total[peer.index()];
-        if total == 0.0 {
-            0.0
-        } else {
-            folded.served[peer.index()]
-                .get(&cid)
-                .copied()
-                .unwrap_or(0.0)
-                / total
-        }
-    }
-
-    /// The selfish selection rule over the decayed estimates — same
-    /// candidate set and tie-break as the oracle `best_response` (see
-    /// [`PeriodObservations::selfish_choice`]). `None` before any period
-    /// is absorbed.
-    pub fn selfish_choice<S: SystemRead + ?Sized>(
-        &self,
-        system: &S,
-        peer: PeerId,
-        currently_in: Option<ClusterId>,
-        allow_empty: bool,
-    ) -> Option<(ClusterId, f64)> {
-        self.folded.as_ref()?;
-        selfish_scan(system, currently_in, allow_empty, |cid| {
-            self.estimated_pcost(system, peer, cid, currently_in)
-        })
-    }
-}
-
-impl FoldedObservations {
     /// A literal (lossless) copy of one period: `u64` counts convert to
     /// `f64` exactly for any realistic result volume (< 2⁵³).
     fn snapshot(period: &PeriodObservations) -> Self {
@@ -1088,31 +958,39 @@ impl FoldedObservations {
     }
 }
 
-/// EMA-folds one query's new observation into its decayed history:
-/// every count becomes `lambda · old + keep · new` over the union of
-/// answering clusters; the weight snaps to the current workload
-/// frequency.
-fn fold_query(prev: &FoldedQuery, obs: &QueryObservation, lambda: f64, keep: f64) -> FoldedQuery {
+/// EMA-folds one query's new observation into its decayed history
+/// (`None`: a brand-new query, an implicit zero history — adding the
+/// zeros is exact): every count becomes `lambda · old + keep · new`
+/// over the union of answering clusters; the weight snaps to the
+/// current workload frequency.
+fn fold_query(
+    prev: Option<&FoldedQuery>,
+    obs: &QueryObservation,
+    lambda: f64,
+    keep: f64,
+) -> FoldedQuery {
     let mut per_cluster: BTreeMap<ClusterId, f64> = prev
-        .per_cluster
+        .map_or(&[][..], |p| &p.per_cluster)
         .iter()
         .map(|&(c, v)| (c, lambda * v))
         .collect();
     for &(c, v) in &obs.per_cluster {
         *per_cluster.entry(c).or_insert(0.0) += keep * v as f64;
     }
+    let (total, own) = prev.map_or((0.0, 0.0), |p| (p.total, p.own));
     FoldedQuery {
         query: obs.query.clone(),
         weight: obs.weight,
         per_cluster: per_cluster.into_iter().collect(),
-        total: lambda * prev.total + keep * obs.total as f64,
-        own: lambda * prev.own + keep * obs.own as f64,
+        total: lambda * total + keep * obs.total as f64,
+        own: lambda * own + keep * obs.own as f64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recluster_overlay::churn::ChurnEvent;
     use recluster_overlay::{ContentStore, Overlay, Theta};
     use recluster_types::{Document, Sym, Workload};
 
@@ -1143,14 +1021,43 @@ mod tests {
         )
     }
 
+    /// One flood period of `sys`, absorbed into a decay-0 accumulator —
+    /// the single-period estimator.
+    fn observe(sys: &System) -> ObservedStats {
+        let mut stats = ObservedStats::new(0.0);
+        stats.absorb(&simulate_period(sys, &mut SimNetwork::new()));
+        stats
+    }
+
+    /// Bit patterns of every estimate `stats` makes for the fixture's
+    /// three peers against `sys`.
+    fn estimate_bits(stats: &ObservedStats, sys: &System) -> Vec<Option<u64>> {
+        let mut bits = Vec::new();
+        for peer in [PeerId(0), PeerId(1), PeerId(2)] {
+            let current = sys.overlay().cluster_of(peer);
+            for cid in sys.overlay().cluster_ids() {
+                let est = stats.estimated_pcost(sys, peer, cid, current);
+                bits.push(est.map(f64::to_bits));
+                bits.push(Some(stats.estimated_contribution(peer, cid).to_bits()));
+            }
+            for allow_empty in [true, false] {
+                let choice = stats.selfish_choice(sys, peer, current, allow_empty);
+                bits.push(choice.map(|(c, _)| u64::from(c.0)));
+                bits.push(choice.map(|(_, cost)| cost.to_bits()));
+            }
+        }
+        bits
+    }
+
     #[test]
     fn observed_pcost_matches_oracle_under_flood() {
         let sys = fixture();
-        let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let stats = observe(&sys);
         let current = sys.overlay().cluster_of(PeerId(0));
         for cid in sys.overlay().cluster_ids() {
-            let est = obs.estimated_pcost(&sys, PeerId(0), cid, current);
+            let est = stats
+                .estimated_pcost(&sys, PeerId(0), cid, current)
+                .unwrap();
             let oracle = pcost(&sys, PeerId(0), cid);
             assert!(
                 (est - oracle).abs() < 1e-9,
@@ -1162,14 +1069,13 @@ mod tests {
     #[test]
     fn observed_contribution_matches_oracle() {
         let sys = fixture();
-        let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let stats = observe(&sys);
         let mut strategy = crate::strategy::AltruisticStrategy::new();
         use crate::strategy::RelocationStrategy;
         strategy.prepare(&sys);
         for peer in [PeerId(0), PeerId(1), PeerId(2)] {
             for cid in sys.overlay().cluster_ids() {
-                let est = obs.estimated_contribution(peer, cid);
+                let est = stats.estimated_contribution(peer, cid);
                 let oracle = strategy.contribution(peer, cid);
                 assert!(
                     (est - oracle).abs() < 1e-9,
@@ -1182,12 +1088,11 @@ mod tests {
     #[test]
     fn selfish_choice_agrees_with_best_response() {
         let sys = fixture();
-        let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let stats = observe(&sys);
         for peer in [PeerId(0), PeerId(1), PeerId(2)] {
             let current = sys.overlay().cluster_of(peer);
             for allow_empty in [true, false] {
-                let (choice, cost) = obs
+                let (choice, cost) = stats
                     .selfish_choice(&sys, peer, current, allow_empty)
                     .unwrap();
                 let br = crate::equilibrium::best_response(&sys, peer, allow_empty);
@@ -1206,14 +1111,19 @@ mod tests {
         // must never return an empty cluster, and `allow_empty=true`
         // only ever considers the *first* empty slot.
         let sys = fixture();
-        let mut net = SimNetwork::new();
-        let obs = simulate_period(&sys, &mut net);
+        let stats = observe(&sys);
         let current = sys.overlay().cluster_of(PeerId(2));
-        let (choice, _) = obs.selfish_choice(&sys, PeerId(2), current, false).unwrap();
+        let (choice, _) = stats
+            .selfish_choice(&sys, PeerId(2), current, false)
+            .unwrap();
         assert!(!sys.overlay().cluster(choice).is_empty());
         // Seeding at the incumbent means a tie always resolves to stay.
-        let (stay, cost) = obs.selfish_choice(&sys, PeerId(2), current, true).unwrap();
-        let cur_cost = obs.estimated_pcost(&sys, PeerId(2), current.unwrap(), current);
+        let (stay, cost) = stats
+            .selfish_choice(&sys, PeerId(2), current, true)
+            .unwrap();
+        let cur_cost = stats
+            .estimated_pcost(&sys, PeerId(2), current.unwrap(), current)
+            .unwrap();
         if (cost - cur_cost).abs() <= COST_EPS {
             assert_eq!(Some(stay), current);
         }
@@ -1221,42 +1131,21 @@ mod tests {
 
     #[test]
     fn observed_stats_zero_decay_is_bitwise_snapshot() {
+        // Two absorbed periods with different overlays: the accumulator
+        // must equal one that absorbed only the *latest* period, bit for
+        // bit — the stale period is forgotten.
         let sys = fixture();
         let mut stats = ObservedStats::new(0.0);
-        assert!(!stats.has_observations());
-        // Two absorbed periods with different overlays: the accumulator
-        // must equal the *latest* period exactly, bit for bit.
         let mut net = SimNetwork::new();
-        let stale = simulate_period(&sys, &mut net);
-        stats.absorb(&stale);
+        stats.absorb(&simulate_period(&sys, &mut net));
         let mut sys2 = fixture();
         sys2.move_peer(PeerId(2), ClusterId(1));
-        let fresh = simulate_period(&sys2, &mut net);
-        stats.absorb(&fresh);
+        stats.absorb(&simulate_period(&sys2, &mut net));
         assert_eq!(stats.periods_absorbed(), 2);
-        for peer in [PeerId(0), PeerId(1), PeerId(2)] {
-            let current = sys2.overlay().cluster_of(peer);
-            for cid in sys2.overlay().cluster_ids() {
-                let direct = fresh.estimated_pcost(&sys2, peer, cid, current);
-                let folded = stats.estimated_pcost(&sys2, peer, cid, current);
-                assert_eq!(direct.to_bits(), folded.to_bits(), "{peer}@{cid}");
-                assert_eq!(
-                    fresh.estimated_contribution(peer, cid).to_bits(),
-                    stats.estimated_contribution(peer, cid).to_bits()
-                );
-            }
-            for allow_empty in [true, false] {
-                let direct = fresh.selfish_choice(&sys2, peer, current, allow_empty);
-                let folded = stats.selfish_choice(&sys2, peer, current, allow_empty);
-                match (direct, folded) {
-                    (Some((dc, dcost)), Some((fc, fcost))) => {
-                        assert_eq!(dc, fc);
-                        assert_eq!(dcost.to_bits(), fcost.to_bits());
-                    }
-                    (d, f) => assert_eq!(d.is_some(), f.is_some()),
-                }
-            }
-        }
+        assert_eq!(
+            estimate_bits(&stats, &sys2),
+            estimate_bits(&observe(&sys2), &sys2)
+        );
     }
 
     #[test]
@@ -1268,11 +1157,16 @@ mod tests {
         stats.absorb(&period); // first period: literal snapshot
         stats.absorb(&period); // identical second period
                                // 0.5·v + 0.5·v = v: absorbing the same period twice is a no-op
-                               // on every count, so the estimates match the direct ones.
+                               // on every count, so the estimates match the single-period ones.
+        let direct = observe(&sys);
         let current = sys.overlay().cluster_of(PeerId(0));
         for cid in sys.overlay().cluster_ids() {
-            let direct = period.estimated_pcost(&sys, PeerId(0), cid, current);
-            let folded = stats.estimated_pcost(&sys, PeerId(0), cid, current);
+            let direct = direct
+                .estimated_pcost(&sys, PeerId(0), cid, current)
+                .unwrap();
+            let folded = stats
+                .estimated_pcost(&sys, PeerId(0), cid, current)
+                .unwrap();
             assert!(
                 (direct - folded).abs() < 1e-12,
                 "{cid}: {direct} vs {folded}"
@@ -1302,10 +1196,61 @@ mod tests {
         let sys = fixture();
         let stats = ObservedStats::new(0.3);
         let current = sys.overlay().cluster_of(PeerId(0));
+        for cid in sys.overlay().cluster_ids() {
+            assert_eq!(stats.estimated_pcost(&sys, PeerId(0), cid, current), None);
+        }
         assert!(stats
             .selfish_choice(&sys, PeerId(0), current, true)
             .is_none());
         assert_eq!(stats.estimated_contribution(PeerId(0), ClusterId(0)), 0.0);
+        assert_eq!(stats.served_total(PeerId(0)), 0.0);
+    }
+
+    #[test]
+    fn late_joiner_has_no_estimates() {
+        // A peer that joined after the last absorbed period has no
+        // observation slot: every estimate is absent, never a panic.
+        let mut sys = fixture();
+        let stats = observe(&sys);
+        let delta = sys
+            .apply_churn_event(
+                &mut SimNetwork::new(),
+                ChurnEvent::Join {
+                    cluster: ClusterId(0),
+                    docs: vec![Document::new(vec![Sym(1)])],
+                },
+            )
+            .unwrap();
+        let late = delta.peer();
+        let current = sys.overlay().cluster_of(late);
+        for cid in sys.overlay().cluster_ids() {
+            assert_eq!(stats.estimated_pcost(&sys, late, cid, current), None);
+            assert_eq!(stats.estimated_contribution(late, cid), 0.0);
+        }
+        assert!(stats.selfish_choice(&sys, late, current, true).is_none());
+        assert_eq!(stats.served_total(late), 0.0);
+    }
+
+    #[test]
+    fn decayed_fold_keeps_served_credit_past_departed_slots() {
+        // After p1 leaves, |P| = 2 but p2 still sits at slot 2. The EMA
+        // fold must carry p2's served credit like the snapshot does.
+        let mut sys = fixture();
+        sys.apply_churn_event(
+            &mut SimNetwork::new(),
+            ChurnEvent::Leave { peer: PeerId(1) },
+        )
+        .unwrap();
+        let period = simulate_period(&sys, &mut SimNetwork::new());
+        let mut stats = ObservedStats::new(0.5);
+        stats.absorb(&period);
+        stats.absorb(&period);
+        let direct = observe(&sys).estimated_contribution(PeerId(2), ClusterId(0));
+        assert!(direct > 0.0, "p2 serves p0's kw(1)");
+        assert_eq!(
+            stats.estimated_contribution(PeerId(2), ClusterId(0)),
+            direct
+        );
     }
 
     #[test]
@@ -1489,7 +1434,9 @@ mod tests {
         let obs = simulate_period(&sys, &mut net);
         assert!(obs.of(PeerId(2)).is_empty());
         // …but p2 still *served* p0's queries.
-        assert!(obs.estimated_contribution(PeerId(2), ClusterId(0)) > 0.0);
+        let mut stats = ObservedStats::new(0.0);
+        stats.absorb(&obs);
+        assert!(stats.estimated_contribution(PeerId(2), ClusterId(0)) > 0.0);
     }
 
     #[test]
@@ -1503,34 +1450,22 @@ mod tests {
         assert_eq!(h.p99(), 3, "99 of 100 occurrences fan to ≤ 3");
         assert_eq!(h.quantile(1.0), 10);
         assert_eq!(h.max(), 10);
-        let mean = h.mean();
-        assert!((mean - 1.27).abs() < 1e-12, "mean={mean}");
     }
 
     #[test]
-    fn forward_histogram_empty_and_merge() {
-        let empty = ForwardHistogram::new();
-        assert_eq!(empty.p50(), 0);
-        assert_eq!(empty.p99(), 0);
-        assert_eq!(empty.max(), 0);
-        assert_eq!(empty.mean(), 0.0);
-
-        let mut a = ForwardHistogram::new();
-        a.record(2, 5);
-        a.record(0, 0); // zero occurrences: ignored entirely
-        let mut b = ForwardHistogram::new();
-        b.record(4, 5);
-        a.merge(&b);
-        assert_eq!(a.total_occurrences(), 10);
-        assert_eq!(a.p50(), 2);
-        assert_eq!(a.max(), 4);
-        assert_eq!(a.mean(), 3.0);
+    fn forward_histogram_empty_and_zero_occurrences() {
+        let mut h = ForwardHistogram::new();
+        h.record(0, 0); // zero occurrences: ignored entirely
+        assert_eq!(h.total_occurrences(), 0);
+        assert_eq!(h.p50(), 0);
+        assert_eq!(h.p99(), 0);
+        assert_eq!(h.max(), 0);
     }
 
     #[test]
-    fn traffic_variant_matches_full_bit_for_bit() {
+    fn traffic_variant_matches_routed_bit_for_bit() {
         // The traffic-only walk must charge the exact same ledger and
-        // produce the exact same report/histogram as the full one — it
+        // produce the exact same report as the observation walk — it
         // only skips the observation/served state nobody reads.
         let sys = fixture();
         for mode in [
@@ -1539,11 +1474,10 @@ mod tests {
             RoutingMode::Routed(SummaryMode::TopK(1)),
         ] {
             let mut net_full = SimNetwork::new();
-            let (_, rep_full, hist_full) = simulate_period_routed_full(&sys, &mut net_full, mode);
+            let (_, rep_full) = simulate_period_routed(&sys, &mut net_full, mode);
             let mut net_traffic = SimNetwork::new();
-            let (rep_traffic, hist_traffic) = simulate_period_traffic(&sys, &mut net_traffic, mode);
+            let rep_traffic = simulate_period_traffic(&sys, &mut net_traffic, mode);
             assert_eq!(rep_full, rep_traffic, "{mode:?}");
-            assert_eq!(hist_full, hist_traffic, "{mode:?}");
             assert_eq!(net_full.total_messages(), net_traffic.total_messages());
             assert_eq!(net_full.total_bytes(), net_traffic.total_bytes());
         }
@@ -1553,12 +1487,12 @@ mod tests {
     fn sharded_period_is_bit_identical_to_sequential() {
         // Force the threshold both ways on pinned pools: the sharded
         // qid fan-out must reproduce the sequential walk exactly —
-        // observations, served credit, report, histogram, and ledger.
+        // observations, served credit, report, and ledger.
         let sys = fixture();
         let mode = RoutingMode::Routed(SummaryMode::TopK(1)); // exercises `missed` too
         crate::shard::set_shard_min_override(Some(usize::MAX));
         let mut net_seq = SimNetwork::new();
-        let (obs_seq, rep_seq, hist_seq) = simulate_period_routed_full(&sys, &mut net_seq, mode);
+        let (obs_seq, rep_seq) = simulate_period_routed(&sys, &mut net_seq, mode);
         crate::shard::set_shard_min_override(Some(1));
         for threads in [1usize, 2, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -1566,31 +1500,13 @@ mod tests {
                 .build()
                 .unwrap();
             let mut net_par = SimNetwork::new();
-            let (obs_par, rep_par, hist_par) =
-                pool.install(|| simulate_period_routed_full(&sys, &mut net_par, mode));
+            let (obs_par, rep_par) =
+                pool.install(|| simulate_period_routed(&sys, &mut net_par, mode));
             assert_eq!(obs_seq, obs_par, "{threads} threads");
             assert_eq!(rep_seq, rep_par, "{threads} threads");
-            assert_eq!(hist_seq, hist_par, "{threads} threads");
             assert_eq!(net_seq.total_messages(), net_par.total_messages());
             assert_eq!(net_seq.total_bytes(), net_par.total_bytes());
         }
         crate::shard::set_shard_min_override(None);
-    }
-
-    #[test]
-    fn full_variant_matches_plain_and_reports_fanout() {
-        let sys = fixture();
-        let mode = RoutingMode::Routed(SummaryMode::Exact);
-        let mut net_a = SimNetwork::new();
-        let (obs_a, rep_a) = simulate_period_routed(&sys, &mut net_a, mode);
-        let mut net_b = SimNetwork::new();
-        let (obs_b, rep_b, hist) = simulate_period_routed_full(&sys, &mut net_b, mode);
-        assert_eq!(obs_a, obs_b);
-        assert_eq!(rep_a, rep_b);
-        assert_eq!(net_a.total_messages(), net_b.total_messages());
-        // The histogram observes exactly the forwards charged: its
-        // occurrence total and mean must agree with the report.
-        assert_eq!(hist.total_occurrences(), rep_b.query_events);
-        assert!((hist.mean() - rep_b.forwards_per_query()).abs() < 1e-12);
     }
 }

@@ -2,10 +2,11 @@
 //! flood routing (lossless observations) with decay disabled, after
 //! *any* random mutation script,
 //!
-//! 1. [`ObservedStats`] is a **bitwise** snapshot of the latest
-//!    [`PeriodObservations`] — every estimated `pcost` and contribution
-//!    identical to the raw per-period figures down to the last float
-//!    bit (the decay-0 fold replaces, it never rounds), and
+//! 1. [`ObservedStats`] forgets a stale period at decay 0: after
+//!    absorbing it and then the latest period, every estimated `pcost`,
+//!    contribution and selfish choice is **bitwise** that of a fresh
+//!    accumulator that absorbed only the latest period (the decay-0
+//!    fold replaces, it never rounds), and
 //! 2. the observed selfish choice selects **exactly** the oracle
 //!    [`best_response`] cluster for every live peer, under both
 //!    empty-target policies — same candidate set, same tie-break, and
@@ -55,8 +56,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Decay 0 is a literal snapshot: the folded estimates carry the
-    /// latest period's bits, even after earlier (stale) periods were
-    /// absorbed and the system mutated in between.
+    /// latest period's bits — those of an accumulator that never saw
+    /// the stale period — even after the system mutated in between.
     #[test]
     fn decay_zero_fold_is_bitwise_the_latest_period(
         seed_docs in arb_seed_syms(),
@@ -77,22 +78,33 @@ proptest! {
         let period = simulate_period(&sys, &mut net);
         stats.absorb(&period);
         prop_assert_eq!(stats.periods_absorbed(), 2);
+        let mut latest = ObservedStats::new(0.0);
+        latest.absorb(&period);
 
         for peer in sys.overlay().peers() {
             let current = sys.overlay().cluster_of(peer);
-            prop_assert!(stats.covers(peer));
             for cid in sys.overlay().cluster_ids() {
                 let folded = stats.estimated_pcost(&sys, peer, cid, current);
-                let raw = period.estimated_pcost(&sys, peer, cid, current);
+                let raw = latest.estimated_pcost(&sys, peer, cid, current);
+                prop_assert!(folded.is_some(), "{:?} is live, so it is covered", peer);
                 prop_assert_eq!(
-                    folded.to_bits(), raw.to_bits(),
-                    "pcost({:?},{:?}) folded {} vs raw {}", peer, cid, folded, raw
+                    folded.map(f64::to_bits), raw.map(f64::to_bits),
+                    "pcost({:?},{:?}) folded {:?} vs latest {:?}", peer, cid, folded, raw
                 );
                 let folded_c = stats.estimated_contribution(peer, cid);
-                let raw_c = period.estimated_contribution(peer, cid);
+                let raw_c = latest.estimated_contribution(peer, cid);
                 prop_assert_eq!(
                     folded_c.to_bits(), raw_c.to_bits(),
-                    "contribution({:?},{:?}) folded {} vs raw {}", peer, cid, folded_c, raw_c
+                    "contribution({:?},{:?}) folded {} vs latest {}", peer, cid, folded_c, raw_c
+                );
+            }
+            for allow_empty in [true, false] {
+                let folded = stats.selfish_choice(&sys, peer, current, allow_empty);
+                let raw = latest.selfish_choice(&sys, peer, current, allow_empty);
+                prop_assert_eq!(
+                    folded.map(|(c, cost)| (c, cost.to_bits())),
+                    raw.map(|(c, cost)| (c, cost.to_bits())),
+                    "selfish choice of {:?} allow_empty={}", peer, allow_empty
                 );
             }
         }

@@ -15,9 +15,11 @@
 //!
 //! This is what makes the sync engine "one driver" of the runtime API
 //! rather than a second implementation of the protocol: the two share
-//! the policy arithmetic (`crate::protocol::apply_policy`), and this
-//! suite pins everything they don't share — collection, selection,
-//! locking, commit application — across strategies and configs.
+//! the policy arithmetic (`crate::protocol::apply_policy`), the phase-1
+//! pick (`RelocationRequest::outranks`) and the phase-2 admission step
+//! (`LockSet::admit`), so this suite proves the transport — report
+//! collection, forwarding, grant delivery and commit application —
+//! across strategies and configs.
 
 mod common;
 

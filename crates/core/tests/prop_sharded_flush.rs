@@ -7,8 +7,9 @@
 //!    away columns as the sequential flush, **bit for bit**, under
 //!    pinned 1-, 2- and 8-thread pools, and
 //! 2. the sharded per-period tracker walk produces the same
-//!    observations, routing report, forward histogram and network
-//!    ledger as the sequential walk, bit for bit, under the same pools.
+//!    observations, routing report and network ledger as the sequential
+//!    walk, bit for bit, under the same pools — and so does the
+//!    traffic-only walk.
 //!
 //! This is the contract that lets the million-peer churn path fan its
 //! two remaining single-threaded hot loops across cores without the
@@ -21,7 +22,7 @@ use common::{apply, arb_ops, arb_seed_syms, fixture};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use recluster_core::shard::set_shard_min_override;
-use recluster_core::{simulate_period_routed_full, System};
+use recluster_core::{simulate_period_routed, simulate_period_traffic, System};
 use recluster_overlay::{RoutingMode, SimNetwork, SummaryMode};
 use recluster_types::PeerId;
 
@@ -68,8 +69,7 @@ proptest! {
         let seq = dirty.clone();
         let seq_cols = flush_columns(&seq);
         let mut seq_net = SimNetwork::new();
-        let (seq_obs, seq_rep, seq_hist) =
-            simulate_period_routed_full(&seq, &mut seq_net, mode);
+        let (seq_obs, seq_rep) = simulate_period_routed(&seq, &mut seq_net, mode);
 
         // The sharded wholesale rebuild agrees with the sequential
         // flush too (rebuild is the flush's oracle).
@@ -87,17 +87,21 @@ proptest! {
                 .expect("shim pool build never fails");
             let sys = dirty.clone();
             let mut par_net = SimNetwork::new();
-            let (par_cols, par_obs, par_rep, par_hist) = pool.install(|| {
+            let mut traffic_net = SimNetwork::new();
+            let (par_cols, par_obs, par_rep, traffic_rep) = pool.install(|| {
                 let cols = flush_columns(&sys);
-                let (obs, rep, hist) = simulate_period_routed_full(&sys, &mut par_net, mode);
-                (cols, obs, rep, hist)
+                let (obs, rep) = simulate_period_routed(&sys, &mut par_net, mode);
+                let traffic = simulate_period_traffic(&sys, &mut traffic_net, mode);
+                (cols, obs, rep, traffic)
             });
             prop_assert_eq!(&seq_cols, &par_cols, "flush columns, {} threads", threads);
             prop_assert_eq!(&seq_obs, &par_obs, "observations, {} threads", threads);
             prop_assert_eq!(seq_rep, par_rep, "report, {} threads", threads);
-            prop_assert_eq!(&seq_hist, &par_hist, "histogram, {} threads", threads);
-            prop_assert_eq!(seq_net.total_messages(), par_net.total_messages());
-            prop_assert_eq!(seq_net.total_bytes(), par_net.total_bytes());
+            prop_assert_eq!(seq_rep, traffic_rep, "traffic-only report, {} threads", threads);
+            for net in [&par_net, &traffic_net] {
+                prop_assert_eq!(seq_net.total_messages(), net.total_messages());
+                prop_assert_eq!(seq_net.total_bytes(), net.total_bytes());
+            }
         }
         set_shard_min_override(None);
     }

@@ -38,19 +38,14 @@
 //! assert!(records[0].query_messages > 0);
 //! ```
 
-use rand::Rng;
-use recluster_core::{
-    simulate_period_routed, DecisionSource, EmptyTargetPolicy, ObservedStats, ProtocolConfig,
-};
-use recluster_corpus::{QueryBias, QuerySampler, WorkloadBuilder};
-use recluster_overlay::churn::{random_leave, ChurnDelta, ChurnEvent};
+use recluster_core::{scost_normalized, DecisionSource, EmptyTargetPolicy, ProtocolConfig};
 use recluster_overlay::{RoutingMode, SimNetwork, SummaryMode};
-use recluster_types::{derive_seed, seeded_rng, Workload};
+use recluster_types::{derive_seed, seeded_rng};
 
-use crate::runner::{
-    decision_agreement, measure_query_traffic, run_protocol, run_protocol_observed, StrategyKind,
-};
-use crate::scenario::{ideal_scenario1_system, ExperimentConfig, TestBed};
+use crate::maintenance::Maintenance;
+pub use crate::maintenance::{FidelityPeriod, FidelityReport};
+use crate::runner::{measure_query_traffic, StrategyKind};
+use crate::scenario::{ideal_scenario1_system, ExperimentConfig};
 
 /// One period's record.
 #[derive(Debug, Clone)]
@@ -216,66 +211,17 @@ pub fn churn_1m_config(seed: u64) -> (ExperimentConfig, ChurnConfig) {
     )
 }
 
-/// One period's decision-fidelity measurements (observed mode only).
-#[derive(Debug, Clone)]
-pub struct FidelityPeriod {
-    /// Period index.
-    pub period: usize,
-    /// Fraction of live peers whose observed proposal named the same
-    /// destination as the oracle strategy's proposal on the pre-repair
-    /// state (both proposing nothing counts as agreement).
-    pub agreement_rate: f64,
-    /// Normalized social cost after the *observed* repair.
-    pub scost_observed_repair: f64,
-    /// Normalized social cost a reference *oracle* repair reaches from
-    /// the same pre-repair state.
-    pub scost_oracle_repair: f64,
-}
-
-impl FidelityPeriod {
-    /// Relative cost excess of the observed repair over the oracle one
-    /// (`0` = identical quality; positive = observed repairs worse).
-    pub fn scost_gap(&self) -> f64 {
-        if self.scost_oracle_repair == 0.0 {
-            0.0
-        } else {
-            self.scost_observed_repair / self.scost_oracle_repair - 1.0
-        }
-    }
-}
-
-/// Decision-fidelity report of an observed-mode churn run: how closely
-/// the observed relocation pipeline tracks the oracle it replaces.
-#[derive(Debug, Clone)]
-pub struct FidelityReport {
-    /// One entry per maintained period.
-    pub periods: Vec<FidelityPeriod>,
-}
-
-impl FidelityReport {
-    /// Mean per-period agreement rate.
-    pub fn mean_agreement(&self) -> f64 {
-        if self.periods.is_empty() {
-            return 1.0;
-        }
-        self.periods.iter().map(|p| p.agreement_rate).sum::<f64>() / self.periods.len() as f64
-    }
-
-    /// The scost gap at convergence — the last period's relative excess.
-    pub fn final_scost_gap(&self) -> f64 {
-        self.periods.last().map_or(0.0, |p| p.scost_gap())
-    }
-}
-
 /// Runs the churn experiment. Deterministic in `cfg.seed`.
 pub fn run_churn(cfg: &ExperimentConfig, churn: &ChurnConfig) -> Vec<ChurnPeriod> {
     run_churn_with_fidelity(cfg, churn).0
 }
 
 /// [`run_churn`] that also returns the decision-fidelity report —
-/// `Some` exactly when `churn.decisions` is observed. Oracle runs take
-/// the historical code path (post-repair traffic probe, no reference
-/// repair) and produce byte-identical records to earlier releases.
+/// `Some` exactly when `churn.decisions` is observed. Each period runs
+/// one [`Maintenance`] tick: the churn batch, then (observed decisions
+/// only) the observation pass, then the repair. Oracle runs, which
+/// observe nothing, measure the period's query traffic after the
+/// repair.
 pub fn run_churn_with_fidelity(
     cfg: &ExperimentConfig,
     churn: &ChurnConfig,
@@ -283,79 +229,43 @@ pub fn run_churn_with_fidelity(
     let mut testbed = ideal_scenario1_system(cfg);
     let mut rng = seeded_rng(derive_seed(cfg.seed, 0xC4A9));
     let mut net = SimNetwork::new();
+    let mut maintenance = Maintenance::new(cfg, &testbed, churn.decisions);
+    let protocol = ProtocolConfig::builder()
+        .epsilon(1e-3)
+        .max_rounds(churn.max_rounds)
+        .empty_targets(EmptyTargetPolicy::Always)
+        .use_locks(true)
+        .build();
     let mut records = Vec::with_capacity(churn.periods);
-    let demand_per_peer = (cfg.total_queries / cfg.n_peers as u64).max(1);
-    // Per-category query samplers for newcomers, built lazily once —
-    // sampler construction walks the category's visible docs, far too
-    // much to repeat per join at the 100k-peer scale.
-    let mut samplers: Vec<Option<QuerySampler>> = vec![None; testbed.holdout.len()];
-    let mut stats = match churn.decisions {
-        DecisionSource::Observed { decay } => Some(ObservedStats::new(decay)),
-        DecisionSource::Oracle => None,
-    };
-    let mut fidelity: Vec<FidelityPeriod> = Vec::new();
 
     for period in 0..churn.periods {
-        apply_churn_batch(
+        maintenance.churn_batch(
             &mut testbed,
-            churn,
-            demand_per_peer,
-            &mut samplers,
+            churn.leaves_per_period,
+            churn.joins_per_period,
             &mut rng,
             &mut net,
         );
-        let scost_after_churn = recluster_core::scost_normalized(&testbed.system);
-        let protocol = ProtocolConfig::builder()
-            .epsilon(1e-3)
-            .max_rounds(churn.max_rounds)
-            .empty_targets(EmptyTargetPolicy::Always)
-            .use_locks(true)
-            .build();
-
-        let mut moves = 0;
-        let (query_net, routing) = if let Some(stats) = stats.as_mut() {
-            // Observed mode: the period's queries run *first* — they are
-            // both the traffic being measured and the only statistics
-            // the strategies get to see — then repair acts on the
-            // folded estimates.
-            let mut query_net = SimNetwork::new();
-            let (observations, routing) =
-                simulate_period_routed(&testbed.system, &mut query_net, churn.routing);
-            stats.absorb(&observations);
-            if let Some(kind) = churn.maintenance {
-                let agreement_rate = decision_agreement(&mut testbed.system, kind, stats, true);
-                // Reference oracle repair from the same pre-repair state,
-                // on a fork whose traffic goes to a scratch ledger.
-                let mut reference = testbed.system.clone();
-                let mut scratch = SimNetwork::new();
-                run_protocol(&mut reference, kind, protocol, &mut scratch);
-                let outcome =
-                    run_protocol_observed(&mut testbed.system, kind, stats, protocol, &mut net);
-                moves = outcome.total_moves();
-                fidelity.push(FidelityPeriod {
-                    period,
-                    agreement_rate,
-                    scost_observed_repair: recluster_core::scost_normalized(&testbed.system),
-                    scost_oracle_repair: recluster_core::scost_normalized(&reference),
-                });
-            }
-            (query_net, routing)
-        } else {
-            if let Some(kind) = churn.maintenance {
-                let outcome = run_protocol(&mut testbed.system, kind, protocol, &mut net);
-                moves = outcome.total_moves();
-            }
-            // The period's query workload, forwarded per the configured
-            // routing mode over the (repaired) overlay, on its own
-            // ledger so the per-period record isolates query traffic
-            // from maintenance traffic.
-            measure_query_traffic(&testbed.system, churn.routing)
-        };
+        let scost_after_churn = scost_normalized(&testbed.system);
+        // Observed mode: the period's queries run *first* — they are
+        // both the traffic being measured and the only statistics the
+        // strategies get to see.
+        let observed = maintenance.observe(&testbed.system, churn.routing);
+        let moves = churn.maintenance.map_or(0, |kind| {
+            maintenance
+                .repair(&mut testbed.system, kind, protocol, &mut net, period)
+                .total_moves()
+        });
+        // Oracle mode: the period's query workload over the repaired
+        // overlay, on its own ledger so the record isolates query
+        // traffic from maintenance traffic.
+        let (query_net, routing) =
+            observed.unwrap_or_else(|| measure_query_traffic(&testbed.system, churn.routing));
 
         records.push(ChurnPeriod {
             period,
             scost_after_churn,
-            scost_after_repair: recluster_core::scost_normalized(&testbed.system),
+            scost_after_repair: scost_normalized(&testbed.system),
             peers: testbed.system.overlay().n_peers(),
             moves,
             query_messages: query_net.total_messages(),
@@ -363,68 +273,7 @@ pub fn run_churn_with_fidelity(
             false_negative_rate: routing.false_negative_rate(),
         });
     }
-    let report = stats.map(|_| FidelityReport { periods: fidelity });
-    (records, report)
-}
-
-fn apply_churn_batch(
-    testbed: &mut TestBed,
-    churn: &ChurnConfig,
-    demand_per_peer: u64,
-    samplers: &mut [Option<QuerySampler>],
-    rng: &mut rand::rngs::StdRng,
-    net: &mut SimNetwork,
-) {
-    // Departures: the event flows through the System churn hook, which
-    // delta-updates membership masses, retires the leaver's documents
-    // from the recall totals, and invalidates exactly the affected
-    // cached cost terms — no rebuild, mid-batch state is always exact.
-    for _ in 0..churn.leaves_per_period {
-        if let Some(event) = random_leave(testbed.system.overlay(), rng) {
-            if let Some(ChurnDelta::Left { peer, .. }) =
-                testbed.system.apply_churn_event(net, event)
-            {
-                testbed.system.set_workload(peer, Workload::new());
-            }
-        }
-    }
-
-    // Arrivals: a fresh peer with hold-out articles of a random category,
-    // querying that category, dropped into a random non-empty cluster.
-    let n_categories = testbed.holdout.len();
-    for _ in 0..churn.joins_per_period {
-        let cat = rng.gen_range(0..n_categories);
-        let pool = &testbed.holdout[cat];
-        let docs: Vec<_> = (0..5)
-            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-            .collect();
-        let target = {
-            let non_empty = testbed.system.overlay().non_empty_ids();
-            non_empty[rng.gen_range(0..non_empty.len())]
-        };
-        // The join hook grows overlay/store/workloads in lockstep,
-        // delta-updates membership, and indexes the newcomer's content
-        // immediately; `set_workload` registers any genuinely new
-        // queries with fresh result columns.
-        let delta = testbed
-            .system
-            .apply_churn_event(
-                net,
-                ChurnEvent::Join {
-                    cluster: target,
-                    docs,
-                },
-            )
-            .expect("join events always apply");
-        let mut wrng = seeded_rng(derive_seed(rng.gen(), 0x10));
-        let builder = WorkloadBuilder::new(QueryBias::Uniform)
-            .with_doc_limit(testbed.distributable_per_category);
-        let sampler = samplers[cat].get_or_insert_with(|| builder.sampler(&testbed.corpus, cat));
-        let workload = builder.build_with(sampler, demand_per_peer, &mut wrng);
-        testbed.system.set_workload(delta.peer(), workload);
-        testbed.peer_category.push(cat);
-        testbed.query_category.push(Some(cat));
-    }
+    (records, maintenance.into_fidelity())
 }
 
 #[cfg(test)]

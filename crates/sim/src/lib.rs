@@ -20,6 +20,9 @@
 //! * [`traffic`] — our extension: the streamed query-serving engine —
 //!   routed queries under live churn with batched summary publication
 //!   and throughput/p99 fan-out observability.
+//! * [`maintenance`] — the one churn-and-repair driver [`churn`] and
+//!   [`traffic`] share: the churn batch, the observation pass, and the
+//!   repair with its observed-vs-oracle fidelity audit.
 //! * [`netsim`] — our extension: the typed-message runtime under
 //!   degraded schedules — the delay/reorder sweep (does equilibrium
 //!   scost survive stale grants?) and the liar audit (inflated claims
@@ -32,8 +35,8 @@
 //! The churn and traffic scenarios both honour
 //! [`DecisionSource`](recluster_core::DecisionSource): under
 //! `Observed` peers relocate on traffic-folded estimates and the run
-//! reports per-repair observed-vs-oracle fidelity
-//! ([`FidelityReport`], [`TrafficFidelity`]).
+//! reports per-repair observed-vs-oracle fidelity as one
+//! [`FidelityReport`] of [`FidelityPeriod`] rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +49,7 @@ pub mod fig23;
 pub mod fig4;
 pub mod knobs;
 pub mod lookup;
+pub mod maintenance;
 pub mod netsim;
 pub mod report;
 pub mod runner;
@@ -67,5 +71,5 @@ pub use scenario::{
 };
 pub use traffic::{
     run_traffic, traffic_demo_config, traffic_small_config, traffic_small_observed_config,
-    TrafficConfig, TrafficEngine, TrafficFidelity, TrafficReport, TrafficWindow, WorkloadDynamics,
+    TrafficConfig, TrafficEngine, TrafficReport, TrafficWindow, WorkloadDynamics,
 };

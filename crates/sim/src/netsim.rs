@@ -43,6 +43,7 @@ use recluster_core::{
 use recluster_overlay::SimNetwork;
 use recluster_types::{derive_seed, Document, PeerId, Query, Sym, Workload};
 
+use crate::report::Fnv;
 use crate::runner::{sweep_map, Parallelism};
 use crate::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
 
@@ -553,29 +554,6 @@ pub fn run_observed_liar_audit(
             scost: scost_normalized(&tb.system),
         }
     })
-}
-
-/// Tiny FNV-1a accumulator — same offset basis and prime as the golden
-/// suite's `BitDigest`, fed every counter and every float's raw bits so
-/// the trailing digest line pins sub-rounding drift.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Renders the delay/reorder sweep as digest-pinned text (scost vs

@@ -66,6 +66,33 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
+/// Tiny FNV-1a accumulator behind every report digest — same offset
+/// basis and prime as the golden suite's `BitDigest`, fed counters as
+/// integers and floats by their raw bits, so a digest line pins
+/// sub-rounding drift.
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf29ce484222325)
+    }
+
+    pub(crate) fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    pub(crate) fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Formats an optional round count, `-` when absent (as Table 1 does for
 /// the non-converging scenario).
 pub fn rounds_cell(rounds: Option<usize>) -> String {

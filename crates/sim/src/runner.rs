@@ -116,7 +116,7 @@ where
 /// million peers they dominate peak RSS).
 pub fn measure_query_traffic(system: &System, mode: RoutingMode) -> (SimNetwork, RoutingReport) {
     let mut net = SimNetwork::new();
-    let (report, _) = simulate_period_traffic(system, &mut net, mode);
+    let report = simulate_period_traffic(system, &mut net, mode);
     (net, report)
 }
 

@@ -3,7 +3,7 @@
 //! timeline.
 //!
 //! The paper evaluates the overlay with a periodic *batch* workload
-//! ([`simulate_period_routed`]
+//! ([`simulate_period_routed`](recluster_core::simulate_period_routed)
 //! walks every live workload once per period). A serving system sees
 //! something else entirely: queries arrive continuously while peers
 //! join, leave and relocate underneath them, and the routing state the
@@ -18,12 +18,12 @@
 //!   `sin`).
 //! * [`TrafficEngine`] advances a slice clock. Each slice routes its
 //!   queries through a [`RoutePlan`] built from the **published**
-//!   summaries; churn ticks apply join/leave batches whose summary
-//!   deltas are recorded into a [`SummaryBatch`] instead of being
-//!   broadcast; repair ticks flush the batch (one coalesced publication
-//!   per touched cluster), rebuild the plan, run the maintenance
-//!   protocol, and record the repair's relocations into the next batch
-//!   by membership diff.
+//!   summaries; churn ticks apply the shared [`Maintenance`] churn
+//!   batch and record its summary deltas into a [`SummaryBatch`]
+//!   instead of broadcasting them; repair ticks flush the batch (one
+//!   coalesced publication per touched cluster), rebuild the plan, run
+//!   the shared repair, and record the repair's relocations into the
+//!   next batch by membership diff.
 //! * [`TrafficReport`] aggregates throughput (queries, forwards,
 //!   results), the per-query fan-out tail
 //!   ([`ForwardHistogram`] p50/p99/max), false negatives (lossy
@@ -62,18 +62,16 @@ use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use recluster_core::{
-    scost_normalized, simulate_period_routed, DecisionSource, ForwardHistogram, ObservedStats,
-    ProtocolConfig, System,
-};
+use recluster_core::{scost_normalized, DecisionSource, ForwardHistogram, ProtocolConfig, System};
 use recluster_corpus::{QueryBias, QuerySampler, WorkloadBuilder, Zipf};
-use recluster_overlay::churn::{random_leave, ChurnDelta, ChurnEvent};
 use recluster_overlay::{
     ClusterSummaries, MsgKind, RoutePlan, RoutingMode, SimNetwork, SummaryBatch, SummaryMode,
 };
 use recluster_types::{derive_seed, seeded_rng, ClusterId, PeerId, Query};
 
-use crate::runner::{decision_agreement, run_protocol, run_protocol_observed, StrategyKind};
+use crate::maintenance::{ChurnApplied, FidelityReport, Maintenance};
+use crate::report::Fnv;
+use crate::runner::StrategyKind;
 use crate::scenario::{ideal_scenario1_system, ExperimentConfig, TestBed};
 
 /// Shape of the streamed workload and the churn/repair schedule, all in
@@ -250,23 +248,6 @@ pub struct TrafficWindow {
     pub scost: f64,
 }
 
-/// One repair tick's decision-fidelity row (observed mode only): how
-/// closely the observed relocation decisions tracked the oracle's on
-/// the same pre-repair state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrafficFidelity {
-    /// Slice index of the repair tick.
-    pub slice: usize,
-    /// Fraction of live peers whose observed proposal named the oracle
-    /// destination (both proposing nothing counts as agreement).
-    pub agreement_rate: f64,
-    /// Normalized social cost after the *observed* repair.
-    pub scost_observed_repair: f64,
-    /// Normalized social cost a reference *oracle* repair reaches from
-    /// the same pre-repair state.
-    pub scost_oracle_repair: f64,
-}
-
 /// What a [`TrafficEngine`] run did, in exact integers plus
 /// integer-derived floats — reproducible to the bit for a fixed config.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,9 +293,10 @@ pub struct TrafficReport {
     pub histogram: ForwardHistogram,
     /// Per-repair-window rows (repairs plus the tail window).
     pub windows: Vec<TrafficWindow>,
-    /// Per-repair fidelity rows — non-empty exactly when the run used
-    /// [`DecisionSource::Observed`] and at least one repair tick fired.
-    pub fidelity: Vec<TrafficFidelity>,
+    /// Per-repair fidelity rows, keyed by the repair tick's slice —
+    /// non-empty exactly when the run used [`DecisionSource::Observed`]
+    /// and at least one repair tick fired.
+    pub fidelity: FidelityReport,
     /// Normalized social cost at the end of the run.
     pub final_scost: f64,
 }
@@ -352,27 +334,6 @@ impl TrafficReport {
         }
     }
 
-    /// Mean per-repair agreement rate (`1.0` when the run was
-    /// oracle-driven and produced no fidelity rows).
-    pub fn mean_agreement(&self) -> f64 {
-        if self.fidelity.is_empty() {
-            return 1.0;
-        }
-        self.fidelity.iter().map(|f| f.agreement_rate).sum::<f64>() / self.fidelity.len() as f64
-    }
-
-    /// Relative cost excess of the last observed repair over its oracle
-    /// reference (`0` when oracle-driven or no repairs fired).
-    pub fn final_scost_gap(&self) -> f64 {
-        self.fidelity.last().map_or(0.0, |f| {
-            if f.scost_oracle_repair == 0.0 {
-                0.0
-            } else {
-                f.scost_observed_repair / f.scost_oracle_repair - 1.0
-            }
-        })
-    }
-
     /// FNV-1a digest over every deterministic field (counters as
     /// integers, floats by raw bits) — one number that moves if
     /// anything in the run moved.
@@ -407,8 +368,8 @@ impl TrafficReport {
         }
         // Folded only when present so oracle-mode digests are
         // byte-identical to releases that predate observed decisions.
-        for f in &self.fidelity {
-            h.u64(f.slice as u64);
+        for f in &self.fidelity.periods {
+            h.u64(f.period as u64);
             h.f64(f.agreement_rate);
             h.f64(f.scost_observed_repair);
             h.f64(f.scost_oracle_repair);
@@ -459,46 +420,24 @@ impl TrafficReport {
             self.summary_updates_batched,
             self.summary_updates_per_event
         );
-        for f in &self.fidelity {
+        for f in &self.fidelity.periods {
             let _ = writeln!(
                 out,
                 "fidelity@{}|agree={:.6}|scost_obs={:.6}|scost_oracle={:.6}",
-                f.slice, f.agreement_rate, f.scost_observed_repair, f.scost_oracle_repair
+                f.period, f.agreement_rate, f.scost_observed_repair, f.scost_oracle_repair
             );
         }
-        if !self.fidelity.is_empty() {
+        if !self.fidelity.periods.is_empty() {
             let _ = writeln!(
                 out,
                 "fidelity mean_agree={:.6} final_gap={:.6}",
-                self.mean_agreement(),
-                self.final_scost_gap()
+                self.fidelity.mean_agreement(),
+                self.fidelity.final_scost_gap()
             );
         }
         let _ = writeln!(out, "final_scost={:.6}", self.final_scost);
         let _ = writeln!(out, "traffic-digest: {:016x}", self.digest());
         out
-    }
-}
-
-/// Tiny FNV-1a accumulator for [`TrafficReport::digest`] — same offset
-/// basis and prime as the golden suite's `BitDigest`.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -568,13 +507,11 @@ pub struct TrafficEngine {
     cache: EvalCache,
     /// Maintenance-side ledger (churn, protocol, eager summary hooks).
     net: SimNetwork,
-    demand_per_peer: u64,
-    /// Folded observation estimates (observed decision mode only).
-    stats: Option<ObservedStats>,
+    /// The churn batches, observation passes and repairs.
+    maintenance: Maintenance,
     // Running aggregates.
     histogram: ForwardHistogram,
     windows: Vec<TrafficWindow>,
-    fidelity: Vec<TrafficFidelity>,
     queries: u64,
     forwards: u64,
     flood_forwards: u64,
@@ -606,7 +543,6 @@ impl TrafficEngine {
             RoutingMode::Routed(precision) => Some(RoutePlan::build(&published, precision)),
         };
         let cmax = testbed.system.overlay().cmax();
-        let demand_per_peer = (cfg.total_queries / cfg.n_peers as u64).max(1);
         TrafficEngine {
             rng: seeded_rng(derive_seed(cfg.seed, 0x7AF1C)),
             dynamics,
@@ -615,16 +551,11 @@ impl TrafficEngine {
             plan,
             cache: EvalCache::new(cmax),
             net: SimNetwork::new(),
-            demand_per_peer,
-            stats: match traffic.decisions {
-                DecisionSource::Observed { decay } => Some(ObservedStats::new(decay)),
-                DecisionSource::Oracle => None,
-            },
+            maintenance: Maintenance::new(cfg, &testbed, traffic.decisions),
             testbed,
             cfg: traffic,
             histogram: ForwardHistogram::new(),
             windows: Vec::new(),
-            fidelity: Vec::new(),
             queries: 0,
             forwards: 0,
             flood_forwards: 0,
@@ -673,72 +604,38 @@ impl TrafficEngine {
             summary_updates_per_event: self.net.messages(MsgKind::SummaryUpdate),
             histogram: self.histogram,
             windows: self.windows,
-            fidelity: self.fidelity,
+            fidelity: self.maintenance.into_fidelity().unwrap_or_default(),
             final_scost,
         }
     }
 
-    /// One churn tick: leaves then joins, every summary delta recorded
-    /// into the batch (the `System` hooks keep the *oracle* summaries
-    /// eagerly exact; the published copy waits for the next flush).
+    /// One churn tick: the shared churn batch, every summary delta
+    /// recorded into the batch (the `System` hooks keep the *oracle*
+    /// summaries eagerly exact; the published copy waits for the next
+    /// flush).
     fn churn_tick(&mut self) {
-        for _ in 0..self.cfg.leaves_per_tick {
-            let Some(event) = random_leave(self.testbed.system.overlay(), &mut self.rng) else {
-                continue;
-            };
-            let ChurnEvent::Leave { peer } = event else {
-                unreachable!("random_leave only emits leaves");
-            };
-            // Snapshot before the hook drops the docs from the store.
-            let docs = self.testbed.system.store().docs(peer).to_vec();
-            if let Some(ChurnDelta::Left { peer, cluster }) =
-                self.testbed.system.apply_churn_event(&mut self.net, event)
-            {
-                self.testbed
-                    .system
-                    .set_workload(peer, recluster_types::Workload::new());
-                self.batch.record_leave(&docs, cluster);
-                self.cache.invalidate(cluster);
-                self.churn_events += 1;
+        let applied = self.maintenance.churn_batch(
+            &mut self.testbed,
+            self.cfg.leaves_per_tick,
+            self.cfg.joins_per_tick,
+            &mut self.rng,
+            &mut self.net,
+        );
+        self.cache.ensure_cmax(self.testbed.system.overlay().cmax());
+        for event in &applied {
+            match event {
+                ChurnApplied::Left { cluster, docs } => {
+                    self.batch.record_leave(docs, *cluster);
+                    self.cache.invalidate(*cluster);
+                }
+                ChurnApplied::Joined { peer, cluster } => {
+                    let docs = self.testbed.system.store().docs(*peer);
+                    self.batch.record_join(docs, *cluster);
+                    self.cache.invalidate(*cluster);
+                }
             }
         }
-        let n_categories = self.testbed.holdout.len();
-        for _ in 0..self.cfg.joins_per_tick {
-            let cat = self.rng.gen_range(0..n_categories);
-            let pool = &self.testbed.holdout[cat];
-            let docs: Vec<_> = (0..5)
-                .map(|_| pool[self.rng.gen_range(0..pool.len())].clone())
-                .collect();
-            let target = {
-                let non_empty = self.testbed.system.overlay().non_empty_ids();
-                non_empty[self.rng.gen_range(0..non_empty.len())]
-            };
-            let delta = self
-                .testbed
-                .system
-                .apply_churn_event(
-                    &mut self.net,
-                    ChurnEvent::Join {
-                        cluster: target,
-                        docs,
-                    },
-                )
-                .expect("join events always apply");
-            let peer = delta.peer();
-            let mut wrng = seeded_rng(derive_seed(self.rng.gen(), 0x10));
-            let builder = WorkloadBuilder::new(QueryBias::Uniform)
-                .with_doc_limit(self.testbed.distributable_per_category);
-            let sampler = builder.sampler(&self.testbed.corpus, cat);
-            let workload = builder.build_with(&sampler, self.demand_per_peer, &mut wrng);
-            self.testbed.system.set_workload(peer, workload);
-            self.testbed.peer_category.push(cat);
-            self.testbed.query_category.push(Some(cat));
-            self.batch
-                .record_join(self.testbed.system.store().docs(peer), target);
-            self.cache.ensure_cmax(self.testbed.system.overlay().cmax());
-            self.cache.invalidate(target);
-            self.churn_events += 1;
-        }
+        self.churn_events += applied.len() as u64;
     }
 
     /// One repair tick: flush → republish → repair → record the
@@ -784,49 +681,21 @@ impl TrafficEngine {
                     .cluster_of(PeerId::from_index(s))
             })
             .collect();
-        let outcome = if let Some(stats) = self.stats.as_mut() {
-            // Observation pass: every peer's workload routed under the
-            // configured mode — with lossy summaries the peers learn a
-            // degraded picture, and the repair quality follows it. Runs
-            // on a scratch ledger: observation traffic is the query
-            // stream already measured above, not extra messages.
-            let mut obs_net = SimNetwork::new();
-            let (observations, _) =
-                simulate_period_routed(&self.testbed.system, &mut obs_net, self.cfg.mode);
-            stats.absorb(&observations);
-            let agreement_rate =
-                decision_agreement(&mut self.testbed.system, self.cfg.maintenance, stats, true);
-            // Reference oracle repair from the same pre-repair state.
-            let mut reference = self.testbed.system.clone();
-            let mut scratch = SimNetwork::new();
-            run_protocol(
-                &mut reference,
-                self.cfg.maintenance,
-                self.cfg.protocol,
-                &mut scratch,
-            );
-            let outcome = run_protocol_observed(
-                &mut self.testbed.system,
-                self.cfg.maintenance,
-                stats,
-                self.cfg.protocol,
-                &mut self.net,
-            );
-            self.fidelity.push(TrafficFidelity {
-                slice: t,
-                agreement_rate,
-                scost_observed_repair: scost_normalized(&self.testbed.system),
-                scost_oracle_repair: scost_normalized(&reference),
-            });
-            outcome
-        } else {
-            run_protocol(
-                &mut self.testbed.system,
-                self.cfg.maintenance,
-                self.cfg.protocol,
-                &mut self.net,
-            )
-        };
+        // Observed decisions first observe every peer's workload under
+        // the configured mode — with lossy summaries the peers learn a
+        // degraded picture, and the repair quality follows it. The pass
+        // runs on a scratch ledger: observation traffic is the query
+        // stream already measured above, not extra messages.
+        let _ = self
+            .maintenance
+            .observe(&self.testbed.system, self.cfg.mode);
+        let outcome = self.maintenance.repair(
+            &mut self.testbed.system,
+            self.cfg.maintenance,
+            self.cfg.protocol,
+            &mut self.net,
+            t,
+        );
         let window_moves = outcome.total_moves();
         self.moves += window_moves;
         self.repairs += 1;
@@ -1090,9 +959,9 @@ mod tests {
     fn oracle_runs_carry_no_fidelity_rows() {
         let (cfg, traffic) = traffic_small_config(11);
         let report = run_traffic(&cfg, &traffic);
-        assert!(report.fidelity.is_empty());
-        assert_eq!(report.mean_agreement(), 1.0);
-        assert_eq!(report.final_scost_gap(), 0.0);
+        assert!(report.fidelity.periods.is_empty());
+        assert_eq!(report.fidelity.mean_agreement(), 1.0);
+        assert_eq!(report.fidelity.final_scost_gap(), 0.0);
     }
 
     #[test]
@@ -1102,14 +971,23 @@ mod tests {
         let b = run_traffic(&cfg, &traffic);
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.fidelity.len(), a.repairs, "one fidelity row per repair");
+        let fidelity = &a.fidelity;
+        assert_eq!(
+            fidelity.periods.len(),
+            a.repairs,
+            "one fidelity row per repair"
+        );
         // Exact routing gives lossless observations: the observed
         // decisions track the oracle closely and repairs stay effective.
-        assert!(a.mean_agreement() > 0.9, "agreement {}", a.mean_agreement());
         assert!(
-            a.final_scost_gap().abs() < 0.1,
+            fidelity.mean_agreement() > 0.9,
+            "agreement {}",
+            fidelity.mean_agreement()
+        );
+        assert!(
+            fidelity.final_scost_gap().abs() < 0.1,
             "gap {}",
-            a.final_scost_gap()
+            fidelity.final_scost_gap()
         );
     }
 
@@ -1124,6 +1002,7 @@ mod tests {
                 ..traffic
             },
         );
+        let (lossy, exact) = (&lossy.fidelity, &exact.fidelity);
         assert!(
             lossy.mean_agreement() <= exact.mean_agreement() + 1e-12,
             "lossy {} vs exact {}",

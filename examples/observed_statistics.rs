@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example observed_statistics`
 
-use recluster::core::{pcost, simulate_period, AltruisticStrategy, RelocationStrategy};
+use recluster::core::{
+    pcost, simulate_period, AltruisticStrategy, ObservedStats, RelocationStrategy,
+};
 use recluster::overlay::SimNetwork;
 use recluster::sim::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
 use recluster::types::PeerId;
@@ -19,8 +21,11 @@ fn main() {
 
     // One observation period T: every peer's workload is routed
     // (flooded) through the overlay; results carry cid annotations.
+    // Each peer folds the period into its estimator; decay 0 keeps
+    // exactly this period.
     let mut net = SimNetwork::new();
-    let observations = simulate_period(system, &mut net);
+    let mut observations = ObservedStats::new(0.0);
+    observations.absorb(&simulate_period(system, &mut net));
     println!(
         "period T routed {} messages ({} bytes)",
         net.total_messages(),
@@ -39,7 +44,9 @@ fn main() {
     clusters.sort_by_key(|&c| std::cmp::Reverse(system.overlay().size(c)));
     let mut worst: f64 = 0.0;
     for &cid in clusters.iter().take(6) {
-        let observed = observations.estimated_pcost(system, probe, cid, current);
+        let observed = observations
+            .estimated_pcost(system, probe, cid, current)
+            .expect("every live peer observed the period");
         let oracle = pcost(system, probe, cid);
         worst = worst.max((observed - oracle).abs());
         println!("  {cid}: observed {observed:.6}  oracle {oracle:.6}");

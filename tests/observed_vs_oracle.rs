@@ -4,7 +4,7 @@
 //! information.
 
 use recluster_core::{
-    best_response, pcost, simulate_period, AltruisticStrategy, RelocationStrategy,
+    best_response, pcost, simulate_period, AltruisticStrategy, ObservedStats, RelocationStrategy,
 };
 use recluster_overlay::SimNetwork;
 use recluster_sim::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
@@ -14,8 +14,11 @@ fn check_scenario(scenario: Scenario, seed: u64) {
     let tb = build_system(scenario, InitialConfig::RandomM, &cfg);
     let sys = &tb.system;
 
+    // One observation period, as a peer's estimator holds it: decay 0
+    // keeps exactly the latest period.
     let mut net = SimNetwork::new();
-    let obs = simulate_period(sys, &mut net);
+    let mut obs = ObservedStats::new(0.0);
+    obs.absorb(&simulate_period(sys, &mut net));
 
     let mut altruism = AltruisticStrategy::new();
     altruism.prepare(sys);
@@ -24,7 +27,7 @@ fn check_scenario(scenario: Scenario, seed: u64) {
         let current = sys.overlay().cluster_of(peer);
         // Selfish: observed pcost equals the oracle for every cluster.
         for cid in sys.overlay().cluster_ids() {
-            let estimated = obs.estimated_pcost(sys, peer, cid, current);
+            let estimated = obs.estimated_pcost(sys, peer, cid, current).unwrap();
             let oracle = pcost(sys, peer, cid);
             assert!(
                 (estimated - oracle).abs() < 1e-9,
