@@ -28,12 +28,15 @@
 //! # Incremental-index invariants
 //!
 //! The per-cluster mass is stored as an **integer numerator**
-//! `Σ_{pj ∈ c} result(q, pj)`; the float mass is derived on lookup as
-//! `numerator / total(q)`. Result counts and totals are integers too, so
-//! every delta is exact and order-independent, and a delta-maintained
-//! index is bit-for-bit equal to [`RecallIndex::rebuild_from`] after
-//! *any* interleaving of membership, content, and workload changes —
-//! property-tested in `tests/prop_incremental.rs`. (A from-scratch
+//! `Σ_{pj ∈ c} result(q, pj)` — the paper's `result(q, c)` — next to the
+//! number of members with a nonzero count; the float mass is derived on
+//! lookup as `numerator / total(q)`. Result counts and totals are
+//! integers too, so every delta is exact and order-independent, and a
+//! delta-maintained index is bit-for-bit equal to
+//! [`RecallIndex::rebuild_from`] after *any* interleaving of membership,
+//! content, and workload changes — property-tested in
+//! `tests/prop_incremental.rs`, which also checks every cell against a
+//! walk of the live cluster's members. (A from-scratch
 //! [`RecallIndex::build`] may number queries differently and drop
 //! stale ones, but derived quantities — `r`, masses, `pcost` — are
 //! bit-identical under either numbering.)
@@ -47,7 +50,7 @@ use recluster_types::{ClusterId, Document, PeerId, Query, Sym, Workload};
 pub type QueryId = u32;
 
 /// Precomputed `result(q, p)` counts, totals, per-peer workload weights,
-/// and per-cluster recall masses.
+/// and per-cluster recall masses with their answering-member counts.
 #[derive(Debug, Clone)]
 pub struct RecallIndex {
     /// All distinct queries appearing in any workload.
@@ -61,14 +64,13 @@ pub struct RecallIndex {
     /// Per peer: `(qid, relative frequency in the peer's workload)`.
     peer_workload: Vec<Vec<(QueryId, f64)>>,
     /// Per query: numerator of the cluster recall mass as a **sparse**
-    /// row of `(cluster, Σ_{pj ∈ c} result(q, pj))` pairs, ascending by
-    /// cluster id, with the invariant *present ⟺ nonzero*. A query's
-    /// results concentrate in a handful of clusters while `Cmax` can
-    /// equal the peer count, so dense rows are O(queries × Cmax) memory
-    /// (≈ 4.8 GB at a million peers) against O(Σ non-zero cells) here.
-    /// Maintained by the `apply_*` deltas; [`RecallIndex::rebuild`]
-    /// recomputes it.
-    mass_num: Vec<Vec<(ClusterId, u64)>>,
+    /// row of [`MassCell`]s, ascending by cluster id, with the invariant
+    /// *present ⟺ nonzero*. A query's results concentrate in a handful
+    /// of clusters while `Cmax` can equal the peer count, so dense rows
+    /// are O(queries × Cmax) memory (≈ 4.8 GB at a million peers)
+    /// against O(Σ non-zero cells) here. Maintained by the `apply_*`
+    /// deltas; [`RecallIndex::rebuild`] recomputes it.
+    mass_num: Vec<Vec<MassCell>>,
     /// Cluster slots each `mass_num` row covers (the overlay's `Cmax` at
     /// the last rebuild/growth).
     cmax: usize,
@@ -326,10 +328,11 @@ impl RecallIndex {
         self.rebuild(overlay);
     }
 
-    /// Recomputes the per-cluster recall masses from scratch for the
-    /// overlay's current assignment — the oracle the incremental
-    /// `apply_*` path is checked against, and the escape hatch when the
-    /// caller has lost track of individual membership changes.
+    /// Recomputes the per-cluster recall masses (and answering-member
+    /// counts) from scratch for the overlay's current assignment — the
+    /// oracle the incremental `apply_*` path is checked against, and the
+    /// escape hatch when the caller has lost track of individual
+    /// membership changes.
     pub fn rebuild(&mut self, overlay: &Overlay) {
         self.cmax = overlay.cmax();
         self.mass_num = vec![Vec::new(); self.queries.len()];
@@ -462,22 +465,24 @@ impl RecallIndex {
     }
 
     /// The integer numerator behind [`RecallIndex::cluster_mass`]:
-    /// `Σ_{pj ∈ c} result(q, pj)`. Exposed so equivalence tests can
-    /// assert delta-maintained state equals a rebuild *exactly*.
+    /// `Σ_{pj ∈ c} result(q, pj)`, i.e. the results cluster `cid`
+    /// returns for the query. Exact, so equivalence tests can assert
+    /// delta-maintained state equals a rebuild bit for bit.
     pub fn cluster_mass_num(&self, qid: QueryId, cid: ClusterId) -> u64 {
-        let row = &self.mass_num[qid as usize];
-        row.binary_search_by_key(&cid, |&(c, _)| c)
-            .map(|i| row[i].1)
-            .unwrap_or(0)
+        self.cluster_answer(qid, cid).0
     }
 
-    /// The nonzero mass cells of a query: ascending `(cluster,
-    /// numerator)` pairs, entries present **iff** nonzero. The memo
-    /// gate's O(log) "does this peer's workload overlap cluster `c` at
-    /// all" probe, and the place a sweep over a query's populated
-    /// clusters avoids touching `Cmax` slots.
-    pub fn mass_row(&self, qid: QueryId) -> &[(ClusterId, u64)] {
-        &self.mass_num[qid as usize]
+    /// What cluster `cid` answers to query `qid` under the maintained
+    /// assignment: `(results, holders)` — the result count summed over
+    /// its members and the number of members holding at least one
+    /// result. Equal to walking the cluster's members against the store
+    /// (property-tested), in O(log cells) instead of O(members × docs).
+    /// `(0, 0)` for a cluster that holds nothing for the query.
+    pub fn cluster_answer(&self, qid: QueryId, cid: ClusterId) -> (u64, u32) {
+        let row = &self.mass_num[qid as usize];
+        row.binary_search_by_key(&cid, |cell| cell.cluster)
+            .map(|i| (row[i].results, row[i].holders))
+            .unwrap_or((0, 0))
     }
 
     /// Cluster slots the mass rows cover.
@@ -496,28 +501,61 @@ impl RecallIndex {
     }
 }
 
-/// Adds `count` to a sparse mass row, inserting the cluster's cell at
-/// its sorted position if absent. `count` must be nonzero (callers only
-/// pass stored result counts, which are nonzero by construction).
-fn mass_add(row: &mut Vec<(ClusterId, u64)>, cid: ClusterId, count: u64) {
-    match row.binary_search_by_key(&cid, |&(c, _)| c) {
-        Ok(i) => row[i].1 += count,
-        Err(i) => row.insert(i, (cid, count)),
+/// One cell of a sparse mass row: cluster `cluster` holds `results =
+/// Σ_{pj ∈ c} result(q, pj)` results for the row's query, spread over
+/// `holders` members with a nonzero count. `holders` sits in what would
+/// otherwise be padding after the `u32` cluster id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MassCell {
+    cluster: ClusterId,
+    holders: u32,
+    results: u64,
+}
+
+// The holder count fills the former `(ClusterId, u64)` pair's padding;
+// it must not grow the cells the sparse rows are sized by.
+const _: () = assert!(std::mem::size_of::<MassCell>() == 16);
+
+/// Adds one holder's `count` results to a sparse mass row, inserting the
+/// cluster's cell at its sorted position if absent. `count` must be
+/// nonzero (callers only pass stored result counts, which are nonzero by
+/// construction), so every call adds exactly one answering member.
+fn mass_add(row: &mut Vec<MassCell>, cid: ClusterId, count: u64) {
+    match row.binary_search_by_key(&cid, |cell| cell.cluster) {
+        Ok(i) => {
+            row[i].results += count;
+            row[i].holders += 1;
+        }
+        Err(i) => row.insert(
+            i,
+            MassCell {
+                cluster: cid,
+                holders: 1,
+                results: count,
+            },
+        ),
     }
 }
 
-/// Subtracts `count` from a sparse mass row, removing the cell when it
-/// reaches zero (the *present ⟺ nonzero* invariant).
+/// Removes one holder's `count` results from a sparse mass row, dropping
+/// the cell when it reaches zero (the *present ⟺ nonzero* invariant).
 ///
 /// # Panics
-/// Panics if the cluster has no cell or less mass than `count` — the
+/// Panics if the cluster has no cell, less mass than `count` or no
+/// holder left, or if the last result leaves while holders remain — the
 /// same accounting bug a dense row would surface as integer underflow.
-fn mass_sub(row: &mut Vec<(ClusterId, u64)>, cid: ClusterId, count: u64) {
+fn mass_sub(row: &mut Vec<MassCell>, cid: ClusterId, count: u64) {
     let i = row
-        .binary_search_by_key(&cid, |&(c, _)| c)
+        .binary_search_by_key(&cid, |cell| cell.cluster)
         .unwrap_or_else(|_| panic!("mass underflow: no cell for {cid}"));
-    row[i].1 = row[i].1.checked_sub(count).expect("mass underflow");
-    if row[i].1 == 0 {
+    let cell = &mut row[i];
+    cell.results = cell.results.checked_sub(count).expect("mass underflow");
+    cell.holders = cell.holders.checked_sub(1).expect("holder underflow");
+    if cell.results == 0 {
+        assert_eq!(
+            cell.holders, 0,
+            "mass cell of {cid} dropped with holders left"
+        );
         row.remove(i);
     }
 }
@@ -640,15 +678,16 @@ mod tests {
         let _ = RecallIndex::build(&ov, &store, &[]);
     }
 
-    /// Exact (bit-level) equality of all mass numerators between a
-    /// delta-maintained index and a rebuilt one.
+    /// Exact (bit-level) equality of all mass cells — numerators and
+    /// holder counts — between a delta-maintained index and a rebuilt
+    /// one.
     fn assert_masses_identical(delta: &RecallIndex, oracle: &RecallIndex, cmax: usize) {
         for qid in 0..delta.n_queries() as QueryId {
             for c in 0..cmax {
                 let cid = ClusterId::from_index(c);
                 assert_eq!(
-                    delta.cluster_mass_num(qid, cid),
-                    oracle.cluster_mass_num(qid, cid),
+                    delta.cluster_answer(qid, cid),
+                    oracle.cluster_answer(qid, cid),
                     "qid {qid} cluster {c}"
                 );
                 assert!(
@@ -664,6 +703,9 @@ mod tests {
     fn apply_move_is_bit_identical_to_rebuild() {
         let (mut ov, store, w) = fixture();
         let mut idx = RecallIndex::build(&ov, &store, &w);
+        let q1 = idx.qid(&Query::keyword(Sym(1))).unwrap();
+        // c0 = {p0, p1}: both hold kw(1) results (1 + 2).
+        assert_eq!(idx.cluster_answer(q1, ClusterId(0)), (3, 2));
         for (peer, to) in [(1u32, 2u32), (2, 0), (0, 2), (1, 1), (2, 1)] {
             let from = ov.move_peer(PeerId(peer), ClusterId(to));
             idx.apply_move(PeerId(peer), from, ClusterId(to));
@@ -671,22 +713,41 @@ mod tests {
             oracle.rebuild(&ov);
             assert_masses_identical(&idx, &oracle, ov.cmax());
         }
+        // Final assignment: c1 = {p1, p2}, c2 = {p0}. p2 holds no kw(1)
+        // result, so it adds no holder.
+        assert_eq!(idx.cluster_answer(q1, ClusterId(1)), (2, 1));
+        assert_eq!(idx.cluster_answer(q1, ClusterId(2)), (1, 1));
+        assert_eq!(idx.cluster_answer(q1, ClusterId(0)), (0, 0));
     }
 
     #[test]
     fn apply_leave_and_join_match_rebuild() {
         let (mut ov, store, w) = fixture();
         let mut idx = RecallIndex::build(&ov, &store, &w);
+        let q1 = idx.qid(&Query::keyword(Sym(1))).unwrap();
         let from = ov.unassign(PeerId(1)).unwrap();
         idx.apply_leave(PeerId(1), from);
         let mut oracle = idx.clone();
         oracle.rebuild(&ov);
         assert_masses_identical(&idx, &oracle, ov.cmax());
+        assert_eq!(idx.cluster_answer(q1, ClusterId(0)), (1, 1), "p0 remains");
 
         ov.assign(PeerId(1), ClusterId(2));
         idx.apply_join(PeerId(1), ClusterId(2));
         oracle.rebuild(&ov);
         assert_masses_identical(&idx, &oracle, ov.cmax());
+        assert_eq!(idx.cluster_answer(q1, ClusterId(2)), (2, 1), "p1 joins c2");
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped with holders left")]
+    fn mass_sub_refuses_to_drop_a_cell_with_holders() {
+        let mut row = Vec::new();
+        mass_add(&mut row, ClusterId(0), 2);
+        mass_add(&mut row, ClusterId(0), 3);
+        // Removing all five results as if from one holder leaves the
+        // other holder unaccounted for.
+        mass_sub(&mut row, ClusterId(0), 5);
     }
 
     #[test]

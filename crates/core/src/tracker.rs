@@ -40,12 +40,12 @@
 use std::collections::BTreeMap;
 
 use recluster_overlay::{
-    route_to_clusters, AnnotatedResult, ContentStore, MsgKind, Overlay, RoutePlan, RoutingMode,
-    SimNetwork, SummaryMode,
+    charge_cluster_answer, route_to_clusters, AnnotatedResult, ContentStore, MsgKind, Overlay,
+    RoutePlan, RoutingMode, SimNetwork, SummaryMode,
 };
 use recluster_types::{ClusterId, PeerId, Query, Workload};
 
-use crate::recall::RecallIndex;
+use crate::recall::{QueryId, RecallIndex};
 
 use crate::costcache::CostCache;
 use crate::equilibrium::COST_EPS;
@@ -299,6 +299,11 @@ pub fn simulate_period_routed(
 /// observation records (one per distinct workload query per peer)
 /// dominates both the allocation volume and the peak RSS of a period,
 /// and the oracle repair path never reads them.
+///
+/// It walks no cluster's members either: the traffic a target cluster
+/// costs (one forward, one return per answering member) and the results
+/// it returns are both in the query's [`RecallIndex`] mass cell
+/// ([`RecallIndex::cluster_answer`]), so each target is one lookup.
 pub fn simulate_period_traffic(
     system: &System,
     net: &mut SimNetwork,
@@ -368,118 +373,144 @@ impl EvalBufs {
     }
 }
 
-/// Evaluates one distinct query against period-constant state. Pure in
-/// `qid` given the shared read-only captures — the sharding contract of
-/// [`crate::shard::map_ranges`]. Returns `None` when the query has no
-/// live demand (the period never routes it). Buffers in `bufs` are
-/// returned to their all-zeros/empty state before returning, so a fresh
-/// `EvalBufs` and a reused one are indistinguishable.
-#[allow(clippy::too_many_arguments)]
-fn eval_query(
-    qid: usize,
-    overlay: &Overlay,
-    store: &ContentStore,
-    workloads: &[Workload],
-    index: &RecallIndex,
-    cache: &CostCache,
-    non_empty: &[ClusterId],
-    plan: Option<&RoutePlan>,
+/// The period-constant state every distinct query's evaluation reads:
+/// membership and content change only *between* periods, so the
+/// non-empty cluster list and the route plan are built once.
+struct PeriodCtx<'a> {
+    overlay: &'a Overlay,
+    store: &'a ContentStore,
+    workloads: &'a [Workload],
+    index: &'a RecallIndex,
+    cache: &'a CostCache,
+    non_empty: &'a [ClusterId],
+    plan: Option<&'a RoutePlan>,
     lossy: bool,
-    bufs: &mut EvalBufs,
-) -> Option<QueryPacket> {
-    let query = &index.queries()[qid];
-    // Live demand for this query, bucketed by requesting cluster.
-    // Workload entries always carry ≥ 1 occurrence, so "has a live
-    // holder" and "has live demand" coincide; holder order does not
-    // matter — the buckets are exact integer sums.
-    let mut total_demand: u64 = 0;
-    for &slot in cache.holders_of(qid) {
-        let holder = PeerId::from_index(slot as usize);
-        let Some(rcid) = overlay.cluster_of(holder) else {
-            continue; // departed peers issue no queries
-        };
-        let count = workloads[slot as usize].count(query);
-        total_demand += count;
-        if bufs.demand_acc[rcid.index()] == 0 {
-            bufs.demand_touched.push(rcid.index());
+    /// Whether the walk collects observations (per-peer results) or
+    /// only charges traffic.
+    collect: bool,
+}
+
+impl PeriodCtx<'_> {
+    /// Evaluates one distinct query. Pure in `qid` given the shared
+    /// read-only captures — the sharding contract of
+    /// [`crate::shard::map_ranges`]. Returns `None` when the query has
+    /// no live demand (the period never routes it). Buffers in `bufs`
+    /// are returned to their all-zeros/empty state before returning, so
+    /// a fresh `EvalBufs` and a reused one are indistinguishable.
+    fn eval_query(&self, qid: usize, bufs: &mut EvalBufs) -> Option<QueryPacket> {
+        let query = &self.index.queries()[qid];
+        // Live demand for this query, bucketed by requesting cluster.
+        // Workload entries always carry ≥ 1 occurrence, so "has a live
+        // holder" and "has live demand" coincide; holder order does not
+        // matter — the buckets are exact integer sums.
+        let mut total_demand: u64 = 0;
+        for &slot in self.cache.holders_of(qid) {
+            let holder = PeerId::from_index(slot as usize);
+            let Some(rcid) = self.overlay.cluster_of(holder) else {
+                continue; // departed peers issue no queries
+            };
+            let count = self.workloads[slot as usize].count(query);
+            total_demand += count;
+            if bufs.demand_acc[rcid.index()] == 0 {
+                bufs.demand_touched.push(rcid.index());
+            }
+            bufs.demand_acc[rcid.index()] += count;
         }
-        bufs.demand_acc[rcid.index()] += count;
-    }
-    if total_demand == 0 {
+        if total_demand == 0 {
+            for &ci in &bufs.demand_touched {
+                bufs.demand_acc[ci] = 0;
+            }
+            bufs.demand_touched.clear();
+            return None;
+        }
+        bufs.demand_touched.sort_unstable();
+
+        // Evaluate once; the caller charges the network for every
+        // occurrence of every live holder (the ledger totals are linear,
+        // so one `merge_scaled` by the demand sum equals the per-holder
+        // walk).
+        bufs.scratch.reset();
+        let targets: &[ClusterId] = match self.plan {
+            None => self.non_empty,
+            Some(plan) => {
+                plan.route_into(query, &mut bufs.routed_targets);
+                &bufs.routed_targets
+            }
+        };
+        let qid_key = qid as QueryId;
+        let (results, per_cluster, total) = if self.collect {
+            // Observations credit each answering peer (served
+            // contribution), so this walk visits the members.
+            let results =
+                route_to_clusters(self.overlay, self.store, query, targets, &mut bufs.scratch);
+            let mut total = 0u64;
+            for r in &results {
+                let slot = r.cluster.index();
+                if bufs.cluster_acc[slot] == 0 {
+                    bufs.touched.push(slot);
+                }
+                bufs.cluster_acc[slot] += r.count;
+                total += r.count;
+            }
+            bufs.touched.sort_unstable();
+            let per_cluster = bufs
+                .touched
+                .iter()
+                .map(|&slot| (ClusterId::from_index(slot), bufs.cluster_acc[slot]))
+                .collect();
+            for &slot in &bufs.touched {
+                bufs.cluster_acc[slot] = 0;
+            }
+            bufs.touched.clear();
+            (results, per_cluster, total)
+        } else {
+            // Traffic only: each target's mass cell holds its result
+            // total and answering-member count — the same ledger and
+            // total as the member walk above, without visiting a member.
+            let mut total = 0u64;
+            for &cid in targets {
+                if self.overlay.cluster(cid).is_empty() {
+                    continue; // like `route_to_clusters`: no traffic
+                }
+                let (answered, holders) = self.index.cluster_answer(qid_key, cid);
+                charge_cluster_answer(&mut bufs.scratch, query, u64::from(holders));
+                total += answered;
+            }
+            (Vec::new(), Vec::new(), total)
+        };
+        let forwards = bufs.scratch.messages(MsgKind::QueryForward);
+        let mut missed = 0u64;
+        if self.lossy {
+            // Accounting only (uncharged): what flooding would have found
+            // in the clusters the lossy summary skipped.
+            for &cid in self.non_empty {
+                if targets.binary_search(&cid).is_err() {
+                    missed += self.index.cluster_mass_num(qid_key, cid);
+                }
+            }
+        }
+
+        let demand_buckets: Vec<(usize, u64)> = bufs
+            .demand_touched
+            .iter()
+            .map(|&ci| (ci, bufs.demand_acc[ci]))
+            .collect();
         for &ci in &bufs.demand_touched {
             bufs.demand_acc[ci] = 0;
         }
         bufs.demand_touched.clear();
-        return None;
-    }
-    bufs.demand_touched.sort_unstable();
 
-    // Evaluate once; the caller charges the network for every
-    // occurrence of every live holder (the ledger totals are linear, so
-    // one `merge_scaled` by the demand sum equals the per-holder walk).
-    bufs.scratch.reset();
-    let targets: &[ClusterId] = match plan {
-        None => non_empty,
-        Some(plan) => {
-            plan.route_into(query, &mut bufs.routed_targets);
-            &bufs.routed_targets
-        }
-    };
-    let results = route_to_clusters(overlay, store, query, targets, &mut bufs.scratch);
-    let forwards = bufs.scratch.messages(MsgKind::QueryForward);
-    let mut missed = 0u64;
-    if lossy {
-        // Accounting only (uncharged): what flooding would have found
-        // in the clusters the lossy summary skipped.
-        for &cid in non_empty {
-            if targets.binary_search(&cid).is_ok() {
-                continue;
-            }
-            for &peer in overlay.cluster(cid).members() {
-                missed += store.result_count(query, peer);
-            }
-        }
+        Some(QueryPacket {
+            total_demand,
+            demand_buckets,
+            ledger: std::mem::replace(&mut bufs.scratch, SimNetwork::new()),
+            results,
+            per_cluster,
+            total,
+            forwards,
+            missed,
+        })
     }
-
-    let mut total = 0u64;
-    for r in &results {
-        let slot = r.cluster.index();
-        if bufs.cluster_acc[slot] == 0 {
-            bufs.touched.push(slot);
-        }
-        bufs.cluster_acc[slot] += r.count;
-        total += r.count;
-    }
-    bufs.touched.sort_unstable();
-    let per_cluster: Vec<(ClusterId, u64)> = bufs
-        .touched
-        .iter()
-        .map(|&slot| (ClusterId::from_index(slot), bufs.cluster_acc[slot]))
-        .collect();
-    for &slot in &bufs.touched {
-        bufs.cluster_acc[slot] = 0;
-    }
-    bufs.touched.clear();
-    let demand_buckets: Vec<(usize, u64)> = bufs
-        .demand_touched
-        .iter()
-        .map(|&ci| (ci, bufs.demand_acc[ci]))
-        .collect();
-    for &ci in &bufs.demand_touched {
-        bufs.demand_acc[ci] = 0;
-    }
-    bufs.demand_touched.clear();
-
-    Some(QueryPacket {
-        total_demand,
-        demand_buckets,
-        ledger: std::mem::replace(&mut bufs.scratch, SimNetwork::new()),
-        results,
-        per_cluster,
-        total,
-        forwards,
-        missed,
-    })
 }
 
 /// The shared period walk behind both public variants: evaluate every
@@ -504,51 +535,43 @@ fn run_period_core(
     let index = system.index();
     let n_slots = overlay.n_slots();
     let cmax = overlay.cmax();
-    let store = system.store();
     let workloads = system.workloads();
     // The flushed cost cache supplies the query → holder lists: the
     // period walks each *distinct* query once instead of once per
     // holder, which removes the O(peers × workload) evaluation factor —
     // at scale most peers share their queries with thousands of others.
     let cache_ref = system.cost_cache();
-    let cache: &CostCache = &cache_ref;
-
-    // The period-constant routing state: membership and content change
-    // only *between* periods, so the non-empty cluster list and the
-    // route plan are built once.
     let non_empty: Vec<ClusterId> = overlay.non_empty_ids().to_vec();
     let plan = match mode {
         RoutingMode::Flood => None,
         RoutingMode::Routed(precision) => Some(RoutePlan::build(system.summaries(), precision)),
     };
-    let lossy = matches!(mode, RoutingMode::Routed(SummaryMode::TopK(_)));
+    let ctx = PeriodCtx {
+        overlay,
+        store: system.store(),
+        workloads,
+        index,
+        cache: &cache_ref,
+        non_empty: &non_empty,
+        plan: plan.as_ref(),
+        lossy: matches!(mode, RoutingMode::Routed(SummaryMode::TopK(_))),
+        collect,
+    };
     let n_queries = index.n_queries();
 
     // Each distinct query's evaluation reads only period-constant state,
     // so the walk shards into contiguous qid ranges with per-range
     // buffers. The threshold keys on the *slot* count, not the query
-    // count: per-query work is dominated by the member walk of
-    // `route_to_clusters`, which scales with membership, so a small
+    // count: per-query work scales with membership — the demand
+    // bucketing visits every holder of the query, and the observation
+    // walk every member of each target cluster — so a small
     // distinct-query set over a huge overlay is exactly the case worth
     // sharding.
     let packets: Vec<Option<QueryPacket>> = if crate::shard::should_shard(n_slots) {
         crate::shard::map_ranges(n_queries, |range| {
             let mut bufs = EvalBufs::new(cmax);
             range
-                .map(|qid| {
-                    eval_query(
-                        qid,
-                        overlay,
-                        store,
-                        workloads,
-                        index,
-                        cache,
-                        &non_empty,
-                        plan.as_ref(),
-                        lossy,
-                        &mut bufs,
-                    )
-                })
+                .map(|qid| ctx.eval_query(qid, &mut bufs))
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -557,20 +580,7 @@ fn run_period_core(
     } else {
         let mut bufs = EvalBufs::new(cmax);
         (0..n_queries)
-            .map(|qid| {
-                eval_query(
-                    qid,
-                    overlay,
-                    store,
-                    workloads,
-                    index,
-                    cache,
-                    &non_empty,
-                    plan.as_ref(),
-                    lossy,
-                    &mut bufs,
-                )
-            })
+            .map(|qid| ctx.eval_query(qid, &mut bufs))
             .collect()
     };
 
@@ -1478,8 +1488,7 @@ mod tests {
             let mut net_traffic = SimNetwork::new();
             let rep_traffic = simulate_period_traffic(&sys, &mut net_traffic, mode);
             assert_eq!(rep_full, rep_traffic, "{mode:?}");
-            assert_eq!(net_full.total_messages(), net_traffic.total_messages());
-            assert_eq!(net_full.total_bytes(), net_traffic.total_bytes());
+            assert_eq!(net_full, net_traffic, "per-kind ledger, {mode:?}");
         }
     }
 
@@ -1504,8 +1513,7 @@ mod tests {
                 pool.install(|| simulate_period_routed(&sys, &mut net_par, mode));
             assert_eq!(obs_seq, obs_par, "{threads} threads");
             assert_eq!(rep_seq, rep_par, "{threads} threads");
-            assert_eq!(net_seq.total_messages(), net_par.total_messages());
-            assert_eq!(net_seq.total_bytes(), net_par.total_bytes());
+            assert_eq!(net_seq, net_par, "{threads} threads");
         }
         crate::shard::set_shard_min_override(None);
     }

@@ -4,8 +4,9 @@
 //! updated state must equal its from-scratch oracle **bit-identically**:
 //!
 //! * the [`RecallIndex`] (result rows, totals, workload weights, mass
-//!   numerators, derived float masses) against
-//!   [`RecallIndex::rebuild_from`], and
+//!   cells — numerator and answering-member count — and derived float
+//!   masses) against [`RecallIndex::rebuild_from`], and every mass cell
+//!   against a walk of the live cluster's members, and
 //! * the per-peer [`CostCache`](recluster_core::CostCache) (recall and
 //!   `WCost` terms, live demand) against a wholesale
 //!   [`System::rebuild_cost_cache`].
@@ -23,8 +24,8 @@ use recluster_overlay::SimNetwork;
 use recluster_types::{ClusterId, PeerId};
 
 /// Asserts the delta-maintained index state equals the content-aware
-/// oracle exactly: result rows, totals, workload weights, mass
-/// numerators, and the derived float masses.
+/// oracle exactly: result rows, totals, workload weights, mass cells
+/// (numerator and holder count), and the derived float masses.
 fn assert_index_equals_rebuild(sys: &System) -> Result<(), TestCaseError> {
     let mut oracle: RecallIndex = sys.index().clone();
     oracle.rebuild_from(sys.overlay(), sys.store(), sys.workloads());
@@ -55,9 +56,9 @@ fn assert_index_equals_rebuild(sys: &System) -> Result<(), TestCaseError> {
         for c in 0..cmax {
             let cid = ClusterId::from_index(c);
             prop_assert_eq!(
-                sys.index().cluster_mass_num(qid, cid),
-                oracle.cluster_mass_num(qid, cid),
-                "mass numerator qid {} cluster {}",
+                sys.index().cluster_answer(qid, cid),
+                oracle.cluster_answer(qid, cid),
+                "mass cell (results, holders) qid {} cluster {}",
                 qid,
                 c
             );
@@ -67,6 +68,36 @@ fn assert_index_equals_rebuild(sys: &System) -> Result<(), TestCaseError> {
                 "float mass qid {} cluster {}",
                 qid,
                 c
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Asserts every mass cell equals a direct walk of the live cluster:
+/// the summed `result_count` of its members against the store, and the
+/// number of members with a nonzero count — what `route_to_clusters`
+/// returns and charges for the cluster.
+fn assert_cells_equal_member_walk(sys: &System) -> Result<(), TestCaseError> {
+    for (qid, query) in sys.index().queries().iter().enumerate() {
+        for cid in sys.overlay().cluster_ids() {
+            let counts: Vec<u64> = sys
+                .overlay()
+                .cluster(cid)
+                .members()
+                .iter()
+                .map(|&peer| sys.store().result_count(query, peer))
+                .collect();
+            let walked = (
+                counts.iter().sum::<u64>(),
+                counts.iter().filter(|&&n| n > 0).count() as u32,
+            );
+            prop_assert_eq!(
+                sys.index().cluster_answer(qid as u32, cid),
+                walked,
+                "mass cell vs member walk, qid {} cluster {:?}",
+                qid,
+                cid
             );
         }
     }
@@ -124,6 +155,7 @@ proptest! {
             apply(&mut sys, &mut net, op);
             sys.overlay().check_invariants().map_err(TestCaseError::fail)?;
             assert_index_equals_rebuild(&sys)?;
+            assert_cells_equal_member_walk(&sys)?;
             assert_cache_equals_rebuild(&sys)?;
         }
         // Cluster sizes agree with a scan of the assignment (the O(1)
@@ -157,6 +189,7 @@ proptest! {
         prop_assert_eq!(batched.overlay(), single.overlay());
         assert_index_equals_rebuild(&batched)?;
         assert_index_equals_rebuild(&single)?;
+        assert_cells_equal_member_walk(&batched)?;
         assert_cache_equals_rebuild(&batched)?;
     }
 

@@ -7,9 +7,12 @@
 //!    away columns as the sequential flush, **bit for bit**, under
 //!    pinned 1-, 2- and 8-thread pools, and
 //! 2. the sharded per-period tracker walk produces the same
-//!    observations, routing report and network ledger as the sequential
-//!    walk, bit for bit, under the same pools — and so does the
-//!    traffic-only walk.
+//!    observations, routing report and per-kind network ledger as the
+//!    sequential walk, bit for bit, under the same pools — and the
+//!    traffic-only walk, which reads per-cluster answers from the
+//!    recall index instead of walking members, produces the observation
+//!    walk's report and ledger — under flooding, exact summaries and a
+//!    lossy summary.
 //!
 //! This is the contract that lets the million-peer churn path fan its
 //! two remaining single-threaded hot loops across cores without the
@@ -22,9 +25,50 @@ use common::{apply, arb_ops, arb_seed_syms, fixture};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use recluster_core::shard::set_shard_min_override;
-use recluster_core::{simulate_period_routed, simulate_period_traffic, System};
+use recluster_core::{
+    simulate_period_routed, simulate_period_traffic, PeriodObservations, RoutingReport, System,
+};
 use recluster_overlay::{RoutingMode, SimNetwork, SummaryMode};
 use recluster_types::PeerId;
+
+/// Every routing mode the walks are compared under; `TopK(1)` drops
+/// most of each summary, so it exercises the lossy `missed` accounting.
+const MODES: [RoutingMode; 3] = [
+    RoutingMode::Flood,
+    RoutingMode::Routed(SummaryMode::Exact),
+    RoutingMode::Routed(SummaryMode::TopK(1)),
+];
+
+/// One period of both walks under one mode, each on a fresh ledger.
+#[derive(Debug, PartialEq)]
+struct Walks {
+    observations: PeriodObservations,
+    report: RoutingReport,
+    net: SimNetwork,
+    traffic_report: RoutingReport,
+    traffic_net: SimNetwork,
+}
+
+/// Runs the observation walk and the traffic-only walk on `sys` under
+/// every mode in [`MODES`].
+fn walks(sys: &System) -> Vec<Walks> {
+    MODES
+        .iter()
+        .map(|&mode| {
+            let mut net = SimNetwork::new();
+            let (observations, report) = simulate_period_routed(sys, &mut net, mode);
+            let mut traffic_net = SimNetwork::new();
+            let traffic_report = simulate_period_traffic(sys, &mut traffic_net, mode);
+            Walks {
+                observations,
+                report,
+                net,
+                traffic_report,
+                traffic_net,
+            }
+        })
+        .collect()
+}
 
 /// Flushes the cost cache (whatever sharding the current overrides
 /// select) and snapshots all three recall columns as bits.
@@ -45,17 +89,16 @@ fn flush_columns(sys: &System) -> Vec<(u64, u64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded flush, sharded rebuild and the sharded period walk are
+    /// Sharded flush, sharded rebuild and the sharded period walks are
     /// byte-identical to their sequential forms under every pinned
-    /// worker count.
+    /// worker count, and the traffic-only walk charges exactly what the
+    /// observation walk charges, message kind by message kind.
     #[test]
     fn sharded_flush_and_period_equal_sequential(
         docs in arb_seed_syms(),
         queries in arb_seed_syms(),
         ops in arb_ops(30),
     ) {
-        let mode = RoutingMode::Routed(SummaryMode::Exact);
-
         // Accumulate a dirty cost cache, then clone it so every
         // configuration flushes the *same* pending state.
         let mut dirty = fixture(&docs, &queries);
@@ -64,12 +107,15 @@ proptest! {
             apply(&mut dirty, &mut net, op);
         }
 
-        // Reference: forced-sequential flush + period walk.
+        // Reference: forced-sequential flush + period walks.
         set_shard_min_override(Some(usize::MAX));
         let seq = dirty.clone();
         let seq_cols = flush_columns(&seq);
-        let mut seq_net = SimNetwork::new();
-        let (seq_obs, seq_rep) = simulate_period_routed(&seq, &mut seq_net, mode);
+        let seq_walks = walks(&seq);
+        for (mode, w) in MODES.iter().zip(&seq_walks) {
+            prop_assert_eq!(w.report, w.traffic_report, "traffic-only report, {:?}", mode);
+            prop_assert_eq!(&w.net, &w.traffic_net, "traffic-only ledger, {:?}", mode);
+        }
 
         // The sharded wholesale rebuild agrees with the sequential
         // flush too (rebuild is the flush's oracle).
@@ -86,22 +132,9 @@ proptest! {
                 .build()
                 .expect("shim pool build never fails");
             let sys = dirty.clone();
-            let mut par_net = SimNetwork::new();
-            let mut traffic_net = SimNetwork::new();
-            let (par_cols, par_obs, par_rep, traffic_rep) = pool.install(|| {
-                let cols = flush_columns(&sys);
-                let (obs, rep) = simulate_period_routed(&sys, &mut par_net, mode);
-                let traffic = simulate_period_traffic(&sys, &mut traffic_net, mode);
-                (cols, obs, rep, traffic)
-            });
+            let (par_cols, par_walks) = pool.install(|| (flush_columns(&sys), walks(&sys)));
             prop_assert_eq!(&seq_cols, &par_cols, "flush columns, {} threads", threads);
-            prop_assert_eq!(&seq_obs, &par_obs, "observations, {} threads", threads);
-            prop_assert_eq!(seq_rep, par_rep, "report, {} threads", threads);
-            prop_assert_eq!(seq_rep, traffic_rep, "traffic-only report, {} threads", threads);
-            for net in [&par_net, &traffic_net] {
-                prop_assert_eq!(seq_net.total_messages(), net.total_messages());
-                prop_assert_eq!(seq_net.total_bytes(), net.total_bytes());
-            }
+            prop_assert_eq!(&seq_walks, &par_walks, "period walks, {} threads", threads);
         }
         set_shard_min_override(None);
     }

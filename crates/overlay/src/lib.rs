@@ -40,7 +40,7 @@ pub use content::ContentStore;
 pub use network::{MsgKind, SimNetwork};
 pub use overlay::{Cluster, Overlay};
 pub use routing::{
-    cluster_recall, flood_query, route_to_clusters, AnnotatedResult, ClusterSummaries, FlushStats,
-    RoutePlan, RoutingMode, SummaryBatch, SummaryMode,
+    charge_cluster_answer, cluster_recall, flood_query, route_to_clusters, AnnotatedResult,
+    ClusterSummaries, FlushStats, RoutePlan, RoutingMode, SummaryBatch, SummaryMode,
 };
 pub use theta::Theta;

@@ -68,7 +68,7 @@ fn kind_index(kind: MsgKind) -> usize {
 /// assert_eq!(net.total_messages(), 2);
 /// assert_eq!(net.total_bytes(), 32);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimNetwork {
     counts: [u64; 10],
     bytes: [u64; 10],

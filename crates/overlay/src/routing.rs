@@ -108,11 +108,10 @@ pub fn route_to_clusters(
         if cluster.is_empty() {
             continue;
         }
-        net.send(MsgKind::QueryForward, 16 + 4 * query.len() as u64);
+        let before = results.len();
         for &peer in cluster.members() {
             let count = store.result_count(query, peer);
             if count > 0 {
-                net.send(MsgKind::ResultReturn, 12);
                 results.push(AnnotatedResult {
                     cluster: cid,
                     peer,
@@ -120,8 +119,19 @@ pub fn route_to_clusters(
                 });
             }
         }
+        charge_cluster_answer(net, query, (results.len() - before) as u64);
     }
     results
+}
+
+/// Charges `net` for one non-empty cluster answering `query`: one
+/// `QueryForward` into the cluster and one cid-annotated `ResultReturn`
+/// per member holding results (`holders`). [`route_to_clusters`] charges
+/// exactly this per target; a caller that knows a cluster's holder count
+/// without walking its members charges it directly, on the same ledger.
+pub fn charge_cluster_answer(net: &mut SimNetwork, query: &Query, holders: u64) {
+    net.send(MsgKind::QueryForward, 16 + 4 * query.len() as u64);
+    net.send_many(MsgKind::ResultReturn, 12, holders);
 }
 
 /// How much of a cluster's content its summary retains.

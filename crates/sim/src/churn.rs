@@ -187,11 +187,13 @@ pub fn churn_100k_config(seed: u64) -> (ExperimentConfig, ChurnConfig) {
 ///   proposal is re-emitted from the memo through the fine-grained
 ///   changed-cluster gate;
 /// * the cost-cache flush after a churn batch and the tracker's
-///   per-period member walks shard across cores via
+///   per-period query walk shard across cores via
 ///   [`map_ranges`](recluster_core::shard::map_ranges), byte-identical
 ///   to sequential;
 /// * the oracle traffic probe runs the observation-free period walk, so
-///   no per-peer observation records are ever materialized.
+///   no per-peer observation records are ever materialized and no
+///   cluster's members are walked (each routed cluster's answer is one
+///   recall-index lookup).
 ///
 /// Deterministic in `seed`; the golden suite pins its digest (release
 /// builds only — see `goldens/churn_1M.txt`) and the `churn_scale`

@@ -113,7 +113,9 @@ where
 /// traffic-only period walk: the ledger and report are bit-identical to
 /// the full observation run, but no per-peer observation records are
 /// materialized (the oracle churn path never reads them, and at a
-/// million peers they dominate peak RSS).
+/// million peers they dominate peak RSS), and each routed cluster's
+/// results and answering-member count are read from the recall index
+/// instead of walking its members.
 pub fn measure_query_traffic(system: &System, mode: RoutingMode) -> (SimNetwork, RoutingReport) {
     let mut net = SimNetwork::new();
     let report = simulate_period_traffic(system, &mut net, mode);

@@ -196,11 +196,12 @@ impl ExperimentConfig {
     /// The million-peer churn testbed — `churn_100k`'s peer axis ×10
     /// once more, with the same lean per-peer load (2 docs, ~2 queries
     /// per peer over a 60-word category vocabulary). The distinct-query
-    /// set stays vocabulary-bounded (~600), so the tracker's per-period
-    /// cost is dominated by the `route_to_clusters` member walks —
-    /// sharded across cores — and the compact u32 columns keep the
-    /// whole system in a few GB of RSS (the `churn_1M` bench cell pins
-    /// the peak).
+    /// set stays vocabulary-bounded (~600), and the traffic-only period
+    /// walk reads each routed cluster's answer from the recall index,
+    /// so the tracker's per-period cost is bucketing each query's
+    /// demand over its holders — sharded across cores — and the compact
+    /// u32 columns keep the whole system in a few GB of RSS (the
+    /// `churn_1M` bench cell pins the peak).
     pub fn million(seed: u64) -> Self {
         ExperimentConfig {
             n_peers: 1_000_000,

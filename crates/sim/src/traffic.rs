@@ -442,13 +442,16 @@ impl TrafficReport {
 }
 
 /// Per-cluster result cache behind the streamed evaluation: for each
-/// `(cluster, query)` pair the total result count and the number of
-/// answering peers, invalidated per cluster whenever membership or
-/// content changes. Between invalidations a repeated query costs one
-/// map lookup per target cluster instead of a member walk — the
-/// amortization that makes a million-occurrence stream tractable.
+/// `(cluster, query)` pair the total result count, invalidated per
+/// cluster whenever membership or content changes. A miss on a query
+/// some peer's workload holds reads the [`RecallIndex`] mass cell (one
+/// lookup); a query outside the index's universe has no cell, so its
+/// miss walks the cluster's members once. Both count as one distinct
+/// evaluation.
+///
+/// [`RecallIndex`]: recluster_core::RecallIndex
 struct EvalCache {
-    per_cluster: Vec<BTreeMap<Query, (u64, u64)>>,
+    per_cluster: Vec<BTreeMap<Query, u64>>,
     misses: u64,
 }
 
@@ -470,24 +473,25 @@ impl EvalCache {
         self.per_cluster[cid.index()].clear();
     }
 
-    /// `(results, answering peers)` of `query` in `cid`, from cache or
-    /// by walking the cluster's members once.
-    fn eval(&mut self, system: &System, cid: ClusterId, query: &Query) -> (u64, u64) {
+    /// The results `query` finds in `cid`, from cache, the recall index,
+    /// or (for a query no workload holds) one walk of the members.
+    fn eval(&mut self, system: &System, cid: ClusterId, query: &Query) -> u64 {
         if let Some(&hit) = self.per_cluster[cid.index()].get(query) {
             return hit;
         }
         self.misses += 1;
-        let mut results = 0u64;
-        let mut peers = 0u64;
-        for &peer in system.overlay().cluster(cid).members() {
-            let count = system.store().result_count(query, peer);
-            if count > 0 {
-                results += count;
-                peers += 1;
-            }
-        }
-        self.per_cluster[cid.index()].insert(query.clone(), (results, peers));
-        (results, peers)
+        let results = match system.index().qid(query) {
+            Some(qid) => system.index().cluster_mass_num(qid, cid),
+            None => system
+                .overlay()
+                .cluster(cid)
+                .members()
+                .iter()
+                .map(|&peer| system.store().result_count(query, peer))
+                .sum(),
+        };
+        self.per_cluster[cid.index()].insert(query.clone(), results);
+        results
     }
 }
 
@@ -752,8 +756,7 @@ impl TrafficEngine {
                     continue;
                 }
                 fanned += 1;
-                let (results, _peers) = self.cache.eval(&self.testbed.system, cid, query);
-                returned += results;
+                returned += self.cache.eval(&self.testbed.system, cid, query);
             }
             // What flooding the *live* overlay would have found in the
             // clusters the plan skipped: lossy drops plus staleness.
@@ -762,8 +765,7 @@ impl TrafficEngine {
                 if targets.binary_search(&cid).is_ok() {
                     continue;
                 }
-                let (results, _) = self.cache.eval(&self.testbed.system, cid, query);
-                missed += results;
+                missed += self.cache.eval(&self.testbed.system, cid, query);
             }
             self.histogram.record(fanned as usize, occ);
             self.queries += occ;
@@ -1008,6 +1010,53 @@ mod tests {
             "lossy {} vs exact {}",
             lossy.mean_agreement(),
             exact.mean_agreement()
+        );
+    }
+
+    #[test]
+    fn eval_cache_equals_the_member_walk_on_both_paths() {
+        // After a served slice (a warm cache), one churn batch and one
+        // repair, every cache read equals walking the live cluster's
+        // members: workload queries read the recall index, the rest
+        // fall back to the walk itself.
+        let (cfg, traffic) = traffic_small_config(2008);
+        let mut engine = TrafficEngine::new(&cfg, traffic);
+        engine.query_slice(0);
+        engine.churn_tick();
+        engine.repair_tick(1);
+        assert!(engine.churn_events > 0);
+
+        let system = &engine.testbed.system;
+        let index = system.index();
+        let outside: Vec<Query> = engine
+            .dynamics
+            .sample_slice(&engine.cfg, 1, &mut seeded_rng(5))
+            .into_keys()
+            .filter(|q| index.qid(q).is_none())
+            .collect();
+        assert!(!outside.is_empty(), "the stream reaches past the workloads");
+        let mut answered = [0usize; 2]; // [index path, walk path]
+        for query in index.queries().iter().chain(&outside) {
+            let path = usize::from(index.qid(query).is_none());
+            for &cid in system.overlay().non_empty_ids() {
+                let walked: u64 = system
+                    .overlay()
+                    .cluster(cid)
+                    .members()
+                    .iter()
+                    .map(|&peer| system.store().result_count(query, peer))
+                    .sum();
+                assert_eq!(
+                    engine.cache.eval(system, cid, query),
+                    walked,
+                    "{query:?} in {cid}"
+                );
+                answered[path] += usize::from(walked > 0);
+            }
+        }
+        assert!(
+            answered.iter().all(|&n| n > 0),
+            "both paths see results: {answered:?}"
         );
     }
 

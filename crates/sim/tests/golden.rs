@@ -454,10 +454,10 @@ fn churn_100k_matches_golden_snapshot() {
 /// the per-(peer, cluster) proposal memo's proof at scale: a repair
 /// round after convergence recomputes only the churn-dirtied proposals
 /// (everything else is memo-served), the cost-cache flush and the
-/// tracker's member walks shard across cores byte-identically, and the
-/// traffic probe never materializes observations. The repaired scost
-/// must land within 1 % of the paper-ideal ≈ 0.101. Release-only via
-/// `--include-ignored`, like the other scale goldens.
+/// tracker's period walk shard across cores byte-identically, and the
+/// traffic probe never materializes observations or walks members. The
+/// repaired scost must land within 1 % of the paper-ideal ≈ 0.101.
+/// Release-only via `--include-ignored`, like the other scale goldens.
 #[test]
 #[ignore = "1M peers: release-only, run with --include-ignored"]
 fn churn_1m_matches_golden_snapshot() {
@@ -509,8 +509,8 @@ fn traffic_small_observed_matches_golden_snapshot() {
 /// 10 000 peers with diurnal/flash/drift workload shaping, churn every
 /// 10 slices and batched summary publication at each repair. Pins the
 /// full report — per-window rows, fan-out tail, batching ledger and the
-/// engine digest. ~15 s in release and far too slow unoptimized;
-/// release-only via `--include-ignored`, like the churn goldens.
+/// engine digest. About a second in release; release-only via
+/// `--include-ignored`, like the churn goldens.
 #[test]
 #[ignore = "1M+ query stream: release-only, run with --include-ignored"]
 fn traffic_1m_matches_golden_snapshot() {
