@@ -66,7 +66,7 @@ pub use global::{scost, scost_normalized, wcost, wcost_normalized};
 pub use protocol::runtime::{
     gain_commitment, CommitRecord, CrashWindow, DecodeError, DelayDist, DenyReason, EvidenceLog,
     FaultReport, FaultSchedule, LiarConfig, LiarMode, Message, NetConfig, NetStats, Partition,
-    PartitionKind, PeerStateMachine, ReportPlan, RuntimeChurn, RuntimeEngine, SimNet,
+    PartitionKind, PeerStateMachine, ReportPlan, Roster, RuntimeChurn, RuntimeEngine, SimNet,
 };
 pub use protocol::{
     EmptyTargetPolicy, ProposalMemo, ProtocolConfig, ProtocolConfigBuilder, ProtocolEngine,

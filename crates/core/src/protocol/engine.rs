@@ -50,22 +50,44 @@ pub struct RoundOutcome {
     pub proposals_recomputed: usize,
     /// Phase-1 proposals re-emitted from the memo without recomputation.
     pub proposals_memoized: usize,
+    /// Live peers whose phase-1 proposal, after the protocol's policy
+    /// filter, named a move in the round's snapshot. A round with none
+    /// is *quiet* and ends the run as converged. In the sync engine,
+    /// and in the message runtime over a lossless fabric, a round is
+    /// quiet exactly when it forwards no request; over a lossy fabric a
+    /// round whose every proposal was lost in transit forwards none
+    /// without being quiet.
+    pub proposed: usize,
+}
+
+/// What phase 1 of a sync round produced.
+struct Phase1 {
+    /// The forwarded requests, one per cluster at most.
+    requests: Vec<RelocationRequest>,
+    /// Proposals computed from scratch.
+    recomputed: usize,
+    /// Proposals re-emitted from the memo.
+    memoized: usize,
+    /// Peers whose policy-filtered proposal named a move.
+    proposed: usize,
 }
 
 /// The result of a full protocol run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// Per-round records, in order. The final entry is the request-free
-    /// round that terminated the protocol (when converged).
+    /// Per-round records, in order. The final entry is the quiet round
+    /// — no live peer proposed a move — that terminated the protocol
+    /// (when converged).
     pub rounds: Vec<RoundOutcome>,
-    /// Whether a round produced no requests before `max_rounds` expired.
+    /// Whether a quiet round came before `max_rounds` expired.
     pub converged: bool,
 }
 
 impl RunOutcome {
-    /// Runs `round(0)`, `round(1)`, … until a round forwards no request
-    /// (converged) or `max_rounds` are spent — the run loop of both
-    /// protocol drivers.
+    /// Runs `round(0)`, `round(1)`, … until a round in which no live
+    /// peer proposed a move ([`RoundOutcome::proposed`] is 0: converged)
+    /// or `max_rounds` are spent — the run loop of both protocol
+    /// drivers.
     pub(crate) fn drive(
         max_rounds: usize,
         mut round: impl FnMut(usize) -> RoundOutcome,
@@ -74,12 +96,12 @@ impl RunOutcome {
         let mut converged = false;
         while !converged && rounds.len() < max_rounds {
             rounds.push(round(rounds.len()));
-            converged = rounds.last().is_some_and(|r| r.requests.is_empty());
+            converged = rounds.last().is_some_and(|r| r.proposed == 0);
         }
         RunOutcome { rounds, converged }
     }
 
-    /// Rounds executed until convergence (excluding the terminal empty
+    /// Rounds executed until convergence (excluding the terminal quiet
     /// round, matching how the paper counts "# Rounds"), or the full
     /// budget when not converged.
     pub fn rounds_to_converge(&self) -> usize {
@@ -193,13 +215,8 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
     /// strategy's `propose` is pure; the index-order merge makes the
     /// sharded result byte-identical to the sequential one) — then the
     /// per-cluster representative selection and message charging in
-    /// exactly the sequential order. Returns the forwarded requests and
-    /// the (recomputed, memoized) proposal counts.
-    fn phase1(
-        &mut self,
-        view: &SystemView<'_>,
-        net: &mut SimNetwork,
-    ) -> (Vec<RelocationRequest>, usize, usize) {
+    /// exactly the sequential order.
+    fn phase1(&mut self, view: &SystemView<'_>, net: &mut SimNetwork) -> Phase1 {
         let allow_empty = self.base_allow_empty();
         let non_empty: Vec<ClusterId> = view.overlay().non_empty_ids().to_vec();
         // The flattened gain-report order: clusters ascending, members
@@ -259,6 +276,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         // Per-cluster representative selection, in the exact order (and
         // with the exact message charges) of the sequential protocol.
         let mut requests: Vec<RelocationRequest> = Vec::new();
+        let mut proposed = 0;
         let mut next = 0;
         for &cid in &non_empty {
             // Every member reports its gain to the representative.
@@ -273,6 +291,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
                 let proposal = *proposal;
                 next += 1;
                 if let Some(p) = self.apply_policy(view, peer, proposal) {
+                    proposed += 1;
                     let candidate = RelocationRequest {
                         src: cid,
                         dst: p.to,
@@ -294,11 +313,17 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
                 None => net.send_many(MsgKind::Heartbeat, 8, fanout),
             }
         }
-        (requests, recomputed, memoized)
+        Phase1 {
+            requests,
+            recomputed,
+            memoized,
+            proposed,
+        }
     }
 
-    /// Executes one round. Returns the outcome; an empty `requests` list
-    /// means the protocol has terminated.
+    /// Executes one round. Returns the outcome; a round in which no peer
+    /// proposed a move (and so none forwarded a request) means the
+    /// protocol has terminated.
     pub fn run_round(
         &mut self,
         system: &mut System,
@@ -310,7 +335,12 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         // ---- Phase 1: pure reads against one snapshot. --------------
         // `view()` flushes the cost cache exactly once; everything after
         // is `&self` with no interior mutability, safe to shard.
-        let (mut requests, recomputed, memoized) = {
+        let Phase1 {
+            mut requests,
+            recomputed,
+            memoized,
+            proposed,
+        } = {
             let view = system.view();
             self.fold_min_costs(&view, &[]);
             self.phase1(&view, net)
@@ -346,6 +376,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
             non_empty_clusters: view.overlay().non_empty_clusters(),
             proposals_recomputed: recomputed,
             proposals_memoized: memoized,
+            proposed,
         }
     }
 
@@ -357,11 +388,12 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         crate::protocol::fold_min_costs(view, &mut self.min_costs, reset);
     }
 
-    /// Runs rounds until a request-free round (converged) or the round
-    /// budget is exhausted. Frustration reference points persist across
-    /// runs of the same engine: "increased since the last time period"
-    /// compares against the best cost held in earlier periods, so a
-    /// workload/content shock between two runs is visible to the second.
+    /// Runs rounds until a round in which no live peer proposes a move
+    /// (converged) or the round budget is exhausted. Frustration
+    /// reference points persist across runs of the same engine:
+    /// "increased since the last time period" compares against the best
+    /// cost held in earlier periods, so a workload/content shock between
+    /// two runs is visible to the second.
     pub fn run(&mut self, system: &mut System, net: &mut SimNetwork) -> RunOutcome {
         RunOutcome::drive(self.config.max_rounds, |round| {
             self.run_round(system, net, round)

@@ -115,8 +115,9 @@ pub struct ProtocolConfig {
     /// Gain threshold `ε`: a peer issues a request only if its gain
     /// exceeds this (the paper's §4.2 uses `ε = 0.001`).
     pub epsilon: f64,
-    /// Round budget; a run that exhausts it without a request-free round
-    /// is reported as non-converged (the paper's third scenario).
+    /// Round budget; a run that exhausts it without a quiet round — one
+    /// in which no live peer proposes a move — is reported as
+    /// non-converged (the paper's third scenario).
     pub max_rounds: usize,
     /// Empty-cluster target policy.
     pub empty_targets: EmptyTargetPolicy,

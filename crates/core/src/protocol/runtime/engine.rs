@@ -32,12 +32,13 @@
 //! sits in the cluster the commit claims to leave — so no degraded
 //! execution can double-apply a relocation or move a ghost.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use recluster_overlay::{ChurnEvent, MsgKind, SimNetwork};
 use recluster_types::{derive_seed, ClusterId, Document, PeerId, Workload};
 
-use super::machine::{MachineEvent, Outbox, PeerStateMachine, ReportPlan};
+use super::machine::{MachineEvent, Outbox, PeerStateMachine, ReportPlan, Roster};
 use super::message::{gain_commitment, Message};
 use super::simnet::{NetConfig, NetStats, SimNet};
 use crate::global::{scost_normalized, wcost_normalized};
@@ -480,14 +481,15 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
     /// Applies every churn entry due at or before the current tick:
     /// departures tear down the peer (system, workload, machine) and
     /// joiners enter the system and announce themselves to the round
-    /// snapshot's representative of their cluster, when it is live.
+    /// snapshot's representative of their cluster (`roster`), when it
+    /// is live.
     fn apply_due_churn(
         &mut self,
         system: &mut System,
         ledger: &mut SimNetwork,
-        machines: &mut BTreeMap<PeerId, PeerStateMachine>,
+        machines: &mut [Option<PeerStateMachine>],
         departed: &mut BTreeSet<PeerId>,
-        rep_of: &HashMap<ClusterId, PeerId>,
+        roster: Option<&Roster>,
     ) {
         while self
             .churn
@@ -505,7 +507,9 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                         continue; // already gone — a no-op departure
                     }
                     system.set_workload(peer, Workload::new());
-                    machines.remove(&peer);
+                    if let Some(machine) = machines.get_mut(peer.index()) {
+                        *machine = None;
+                    }
                     departed.insert(peer);
                 }
                 RuntimeChurn::Arrive {
@@ -525,8 +529,8 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                     // it (the joiner is outside the round snapshot);
                     // admission happens at the next round's collect
                     // phase, whose snapshot includes the peer.
-                    if let Some(&rep) = rep_of.get(&delta.cluster()) {
-                        if machines.contains_key(&rep) {
+                    if let Some(rep) = roster.and_then(|r| r.representative(delta.cluster())) {
+                        if machines.get(rep.index()).is_some_and(Option::is_some) {
                             let hb = Message::Heartbeat {
                                 peer: joiner,
                                 from: delta.cluster(),
@@ -550,15 +554,8 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
     ) -> RoundOutcome {
         // Churn due before the round starts is applied pre-snapshot, so
         // the snapshot never sees a peer that already left.
-        let mut machines: BTreeMap<PeerId, PeerStateMachine> = BTreeMap::new();
         let mut departed: BTreeSet<PeerId> = BTreeSet::new();
-        self.apply_due_churn(
-            system,
-            ledger,
-            &mut machines,
-            &mut departed,
-            &HashMap::new(),
-        );
+        self.apply_due_churn(system, ledger, &mut [], &mut departed, None);
         departed.clear();
 
         self.strategy.prepare(system);
@@ -566,29 +563,38 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
         let allow_empty = crate::protocol::base_allow_empty(&self.config);
 
         // ---- Snapshot: derive every peer's local knowledge. ---------
-        let mut true_gains: HashMap<PeerId, f64> = HashMap::new();
-        let mut oracle_gains: HashMap<PeerId, f64> = HashMap::new();
-        let rep_of: HashMap<ClusterId, PeerId>;
+        // Machines, gains and the per-frame lookups below are indexed by
+        // peer slot. A mid-round joiner's slot may lie past them, but a
+        // joiner only heartbeats: every Propose and Commit frame names a
+        // snapshot peer.
+        let n_slots = system.overlay().n_slots();
+        let mut machines: Vec<Option<PeerStateMachine>> = Vec::new();
+        machines.resize_with(n_slots, || None);
+        // `(true gain, oracle gain)` of every peer that proposed.
+        let mut gains: Vec<Option<(f64, f64)>> = vec![None; n_slots];
+        let roster: Arc<Roster>;
         let mut n_live = 0;
+        let mut proposed = 0;
         {
             let view = system.view();
             crate::protocol::fold_min_costs(&view, &mut self.min_costs, &[]);
-            let non_empty: Vec<ClusterId> = view.overlay().non_empty_ids().to_vec();
-            rep_of = non_empty
-                .iter()
-                .map(|&cid| {
-                    let rep = view
-                        .overlay()
-                        .cluster(cid)
-                        .representative()
-                        .expect("non-empty cluster has a representative");
-                    (cid, rep)
-                })
-                .collect();
-            for &cid in &non_empty {
-                let members = view.overlay().cluster(cid).members().to_vec();
-                let rep = rep_of[&cid];
-                for &peer in &members {
+            roster = Arc::new(Roster::new(
+                view.overlay()
+                    .non_empty_ids()
+                    .iter()
+                    .map(|&cid| {
+                        let rep = view
+                            .overlay()
+                            .cluster(cid)
+                            .representative()
+                            .expect("non-empty cluster has a representative");
+                        (cid, rep)
+                    })
+                    .collect(),
+            ));
+            for &(cid, rep) in roster.reps() {
+                let members = view.overlay().cluster(cid).members();
+                for &peer in members {
                     n_live += 1;
                     let raw = self.strategy.propose(&view, peer, allow_empty);
                     let filtered = crate::protocol::apply_policy(
@@ -600,12 +606,12 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                     );
                     let plan = match filtered {
                         Some(p) => {
-                            true_gains.insert(peer, p.gain);
-                            oracle_gains.insert(
-                                peer,
+                            proposed += 1;
+                            gains[peer.index()] = Some((
+                                p.gain,
                                 crate::cost::pcost_current(&view, peer)
                                     - crate::cost::pcost(&view, peer, p.to),
-                            );
+                            ));
                             let nonce = derive_seed(
                                 derive_seed(NONCE_DOMAIN, round as u64),
                                 u64::from(peer.0),
@@ -625,7 +631,7 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                             };
                             ReportPlan {
                                 report: Some((p.to, claimed)),
-                                dst_rep: rep_of.get(&p.to).copied(),
+                                dst_rep: roster.representative(p.to),
                                 commitment: gain_commitment(
                                     peer,
                                     cid,
@@ -640,16 +646,11 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                         None => ReportPlan::heartbeat(),
                     };
                     let machine = if peer == rep {
-                        let others: Vec<(ClusterId, PeerId)> = non_empty
-                            .iter()
-                            .filter(|&&c| c != cid)
-                            .map(|&c| (c, rep_of[&c]))
-                            .collect();
                         PeerStateMachine::representative(
                             peer,
                             cid,
-                            members.clone(),
-                            others,
+                            members.to_vec(),
+                            Arc::clone(&roster),
                             plan,
                             self.config.use_locks,
                             self.now,
@@ -658,40 +659,45 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                     } else {
                         PeerStateMachine::member(peer, cid, rep, plan)
                     };
-                    machines.insert(peer, machine);
+                    machines[peer.index()] = Some(machine);
                 }
             }
         }
 
         // ---- Tick loop: deliver, poll, flush — until quiescent. -----
+        // The outbox is flushed after every delivery and every poll, so
+        // frames reach the fabric in the order machines queued them.
         let mut out = Outbox::new();
         let mut requests: Vec<RelocationRequest> = Vec::new();
         let mut granted: Vec<RelocationRequest> = Vec::new();
-        let mut committed: Vec<PeerId> = Vec::new();
+        // Movers in commit order, and the same set by slot.
+        let mut movers: Vec<PeerId> = Vec::new();
+        let mut committed: Vec<bool> = vec![false; n_slots];
         let mut voided: BTreeSet<PeerId> = BTreeSet::new();
         // Commitments harvested from delivered Propose frames — the
         // auditor's only source, exactly as a real observer would have.
-        let mut commitments: HashMap<PeerId, u64> = HashMap::new();
-        for machine in machines.values_mut() {
+        let mut commitments: Vec<Option<u64>> = vec![None; n_slots];
+        for machine in machines.iter_mut().flatten() {
             machine.poll(self.now, phase_ticks, &mut out);
+            self.flush(&mut out, ledger, &mut requests, &mut granted);
         }
-        self.flush(&mut out, ledger, &mut requests, &mut granted);
         loop {
-            let mut next = self.net.next_tick();
-            for machine in machines.values() {
-                if let Some(d) = machine.next_deadline() {
-                    next = Some(next.map_or(d, |n| n.min(d)));
-                }
-            }
-            let Some(next) = next else { break };
+            let deadline = machines
+                .iter()
+                .flatten()
+                .filter_map(PeerStateMachine::next_deadline)
+                .min();
+            let Some(next) = self.net.next_tick().into_iter().chain(deadline).min() else {
+                break;
+            };
             self.now = next.max(self.now + 1);
-            self.apply_due_churn(system, ledger, &mut machines, &mut departed, &rep_of);
+            self.apply_due_churn(system, ledger, &mut machines, &mut departed, Some(&roster));
             while let Some((_, dst, msg)) = self.net.pop_due(self.now) {
                 if let Message::Propose {
                     peer, commitment, ..
                 } = msg
                 {
-                    commitments.entry(peer).or_insert(commitment);
+                    commitments[peer.index()].get_or_insert(commitment);
                 }
                 if let Message::Commit {
                     peer,
@@ -706,7 +712,7 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                     // departed and still sits in the cluster it claims
                     // to leave. (The departed check comes first — a
                     // freed slot can be reassigned to a joiner.)
-                    if !committed.contains(&peer) {
+                    if !committed[peer.index()] {
                         if departed.contains(&peer)
                             || system.overlay().cluster_of(peer) != Some(from)
                         {
@@ -714,30 +720,31 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                                 self.commits_voided += 1;
                             }
                         } else {
-                            committed.push(peer);
+                            committed[peer.index()] = true;
+                            movers.push(peer);
                             system.move_peer(peer, to);
+                            let (true_gain, oracle_gain) =
+                                gains[peer.index()].unwrap_or((claimed_gain, claimed_gain));
                             self.evidence.push(CommitRecord {
                                 round,
                                 peer,
                                 from,
                                 to,
                                 claimed_gain,
-                                true_gain: true_gains.get(&peer).copied().unwrap_or(claimed_gain),
-                                commitment: commitments.get(&peer).copied(),
+                                true_gain,
+                                commitment: commitments[peer.index()],
                                 reveal_nonce: nonce,
-                                oracle_gain: oracle_gains
-                                    .get(&peer)
-                                    .copied()
-                                    .unwrap_or(claimed_gain),
+                                oracle_gain,
                             });
                         }
                     }
                 }
-                match machines.get_mut(&dst) {
+                match machines.get_mut(dst.index()).and_then(Option::as_mut) {
                     Some(machine) => {
                         if !machine.receive(&msg, &mut out) {
                             self.net.note_stale();
                         }
+                        self.flush(&mut out, ledger, &mut requests, &mut granted);
                     }
                     // The driver owns the machine set, so it can tell a
                     // mid-round departure from mere lateness.
@@ -745,13 +752,13 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
                     None => self.net.note_stale(),
                 }
             }
-            for machine in machines.values_mut() {
+            for machine in machines.iter_mut().flatten() {
                 machine.poll(self.now, phase_ticks, &mut out);
+                self.flush(&mut out, ledger, &mut requests, &mut granted);
             }
-            self.flush(&mut out, ledger, &mut requests, &mut granted);
         }
         debug_assert!(
-            machines.values().all(|m| m.done()),
+            machines.iter().flatten().all(PeerStateMachine::done),
             "round left work behind"
         );
 
@@ -759,7 +766,7 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
         // the deadline: the representative's lock was spent on a move
         // that can no longer happen.
         granted.retain(|req| {
-            let void = departed.contains(&req.peer) && !committed.contains(&req.peer);
+            let void = departed.contains(&req.peer) && !committed[req.peer.index()];
             if void {
                 self.granted_total -= 1;
                 self.denied_total += 1;
@@ -771,7 +778,7 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
         // ---- Outcome: identical shape (and, under the ideal schedule,
         // identical bytes) to the sync engine's. --------------------
         let view = system.view();
-        crate::protocol::fold_min_costs(&view, &mut self.min_costs, &committed);
+        crate::protocol::fold_min_costs(&view, &mut self.min_costs, &movers);
         RelocationRequest::sort_requests(&mut requests);
         RelocationRequest::sort_requests(&mut granted);
         RoundOutcome {
@@ -783,11 +790,16 @@ impl<S: RelocationStrategy> RuntimeEngine<S> {
             non_empty_clusters: view.overlay().non_empty_clusters(),
             proposals_recomputed: n_live,
             proposals_memoized: 0,
+            proposed,
         }
     }
 
-    /// Runs rounds until a request-free round (converged) or the round
-    /// budget is exhausted — the sync engine's run loop itself.
+    /// Runs rounds until a round in which no live peer proposes a move
+    /// (converged) or the round budget is exhausted — the sync engine's
+    /// run loop itself. The test is on proposals, not requests: over a
+    /// lossy fabric a round whose every proposal was lost in transit
+    /// forwards no request while peers still want to move, and the run
+    /// goes on.
     pub fn run(&mut self, system: &mut System, ledger: &mut SimNetwork) -> RunOutcome {
         RunOutcome::drive(self.config.max_rounds, |round| {
             self.run_round(system, ledger, round)
@@ -813,6 +825,7 @@ mod tests {
     use recluster_overlay::{ContentStore, MsgKind, Overlay, Theta};
     use recluster_types::{Document, Query, Sym, Workload};
 
+    use crate::protocol::runtime::{CrashWindow, FaultSchedule};
     use crate::protocol::ProtocolEngine;
     use crate::strategy::SelfishStrategy;
     use crate::system::GameConfig;
@@ -1009,6 +1022,33 @@ mod tests {
         assert!(sys.overlay().cluster_of(PeerId(4)).is_some());
         // Its announcement heartbeat was consumed, not counted stale.
         assert_eq!(runtime.net_stats().stale, 0);
+    }
+
+    /// A round whose proposals are all lost in transit forwards no
+    /// request, but peers still want to move: the run goes on, and the
+    /// next round, on a healed fabric, pairs the categories up.
+    #[test]
+    fn lost_proposals_do_not_end_the_run() {
+        let mut sys = two_category_system();
+        let mut ledger = SimNetwork::new();
+        // Every peer is down at tick 0, when round 0's reports leave.
+        let faults = FaultSchedule {
+            partitions: vec![],
+            crashes: (0..4)
+                .map(|p| CrashWindow {
+                    peer: PeerId(p),
+                    down: 0,
+                    up: 1,
+                })
+                .collect(),
+        };
+        let mut runtime =
+            RuntimeEngine::new(SelfishStrategy, config(), NetConfig::ideal()).with_faults(faults);
+        let outcome = runtime.run(&mut sys, &mut ledger);
+        assert!(outcome.rounds[0].requests.is_empty());
+        assert!(outcome.rounds[0].proposed > 0);
+        assert!(outcome.converged);
+        assert_eq!(outcome.final_clusters(), 2);
     }
 
     #[test]

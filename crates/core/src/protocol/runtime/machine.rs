@@ -24,17 +24,25 @@
 //! scenarios measure.
 //!
 //! Collectors are **identity-based**: a phase tracks *which* members
-//! and clusters it has heard (sets), not how many. Under the fully
-//! drained, churn-free schedules the two are indistinguishable — every
-//! frame arrives at most once and only from snapshot peers — but under
+//! and clusters it has heard, not how many. Under the fully drained,
+//! churn-free schedules the two are indistinguishable — every frame
+//! arrives at most once and only from snapshot peers — but under
 //! mid-round churn a frame from a peer outside the round snapshot (a
 //! joiner announcing itself via heartbeat) or a duplicate is consumed
 //! without advancing any phase, so a collector can never fire early on
 //! traffic the snapshot never promised it.
 //!
+//! Every representative of a round shares one [`Roster`]: the
+//! snapshot's `(cluster, representative)` pairs in ascending cluster
+//! order plus a table from cluster id to position. Broadcasts walk it,
+//! skipping the sender's own position, and the phase-2 collector and
+//! the heard summaries are indexed by roster position (member reports
+//! by position in the member list), so admitting a frame is one lookup
+//! whatever the number of clusters.
+//!
 //! [`ProtocolEngine`]: crate::protocol::ProtocolEngine
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use recluster_overlay::MsgKind;
 use recluster_types::{ClusterId, PeerId};
@@ -151,13 +159,107 @@ impl ReportPlan {
     }
 }
 
+/// A roster position-table entry for a cluster not on the roster.
+const ABSENT: u32 = u32::MAX;
+
+/// The representatives of one round, shared by all of them through an
+/// [`Arc`]: every non-empty cluster of the round snapshot with its
+/// representative, ascending by cluster, plus a table from cluster id
+/// to position on the roster.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Roster {
+    reps: Vec<(ClusterId, PeerId)>,
+    /// `position[c]` is cluster `c`'s index in `reps`, or [`ABSENT`].
+    position: Vec<u32>,
+}
+
+impl Roster {
+    /// Builds the roster from `(cluster, representative)` pairs.
+    ///
+    /// # Panics
+    /// Panics unless `reps` is strictly ascending by cluster id (the
+    /// snapshot's non-empty cluster list is): broadcasts go out in
+    /// roster order, which must be the sync engine's ascending order.
+    pub fn new(reps: Vec<(ClusterId, PeerId)>) -> Self {
+        assert!(
+            reps.windows(2).all(|w| w[0].0 < w[1].0),
+            "roster pairs must be strictly ascending by cluster id"
+        );
+        let mut position = vec![ABSENT; reps.last().map_or(0, |&(c, _)| c.index() + 1)];
+        for (i, &(c, _)) in reps.iter().enumerate() {
+            position[c.index()] = i as u32;
+        }
+        Roster { reps, position }
+    }
+
+    /// The `(cluster, representative)` pairs, ascending by cluster.
+    pub fn reps(&self) -> &[(ClusterId, PeerId)] {
+        &self.reps
+    }
+
+    /// Number of clusters on the roster.
+    pub fn len(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// Whether the roster lists no cluster.
+    pub fn is_empty(&self) -> bool {
+        self.reps.is_empty()
+    }
+
+    /// `cluster`'s position on the roster, or `None` when the snapshot
+    /// did not list it (also for ids past the table).
+    pub fn position(&self, cluster: ClusterId) -> Option<usize> {
+        match self.position.get(cluster.index()) {
+            Some(&i) if i != ABSENT => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// `cluster`'s representative, when the cluster is on the roster.
+    pub fn representative(&self, cluster: ClusterId) -> Option<PeerId> {
+        self.position(cluster).map(|i| self.reps[i].1)
+    }
+}
+
+/// Which of a fixed list of senders a collector has heard, by position
+/// in that list.
+#[derive(Debug)]
+struct Heard {
+    seen: Vec<bool>,
+    count: usize,
+}
+
+impl Heard {
+    fn new(senders: usize) -> Self {
+        Heard {
+            seen: vec![false; senders],
+            count: 0,
+        }
+    }
+
+    /// Marks position `i` heard; returns whether it was unheard before.
+    fn insert(&mut self, i: usize) -> bool {
+        let new = !std::mem::replace(&mut self.seen[i], true);
+        self.count += usize::from(new);
+        new
+    }
+
+    /// Number of positions heard.
+    fn len(&self) -> usize {
+        self.count
+    }
+}
+
 /// Representative-only state: the two collect-then-fire phases.
 #[derive(Debug)]
 struct RepState {
     /// Members of the cluster (ascending), `self` included.
     members: Vec<PeerId>,
-    /// `(cluster, representative)` of every *other* non-empty cluster.
-    others: Vec<(ClusterId, PeerId)>,
+    /// The round's representatives, this cluster's included.
+    roster: Arc<Roster>,
+    /// This cluster's position on `roster`.
+    own: usize,
     /// The sync engine's lock switch ([`ProtocolConfig::use_locks`]).
     ///
     /// [`ProtocolConfig::use_locks`]: crate::protocol::ProtocolConfig
@@ -166,9 +268,9 @@ struct RepState {
     /// frames only; heartbeats mark `reports_heard` but carry no
     /// candidate).
     reports: Vec<(RelocationRequest, u64)>,
-    /// Which members have reported (identity, not count: duplicates and
-    /// non-members never advance the phase).
-    reports_heard: BTreeSet<PeerId>,
+    /// Which members have reported, by position in `members` (identity,
+    /// not count: duplicates and non-members never advance the phase).
+    reports_heard: Heard,
     phase1_deadline: u64,
     phase1_fired: bool,
     /// The cluster's own forwarded request with its commitment, if any.
@@ -176,15 +278,16 @@ struct RepState {
     /// Forwarded requests received from other representatives.
     peer_requests: Vec<RelocationRequest>,
     /// Which other clusters have spoken in phase 2 (request or
-    /// heartbeat).
-    clusters_heard: BTreeSet<ClusterId>,
+    /// heartbeat), by roster position.
+    clusters_heard: Heard,
     phase2_deadline: u64,
     phase2_fired: bool,
     /// Own-cluster size, maintained from delivered commits — the value
     /// broadcast in [`Message::SummaryUpdate`].
     own_size: u32,
-    /// Latest summary heard per cluster (from `SummaryUpdate` frames).
-    summaries: BTreeMap<ClusterId, u32>,
+    /// Latest summary heard per cluster, by roster position (from
+    /// `SummaryUpdate` frames).
+    summaries: Vec<Option<u32>>,
 }
 
 #[derive(Debug)]
@@ -221,23 +324,29 @@ impl PeerStateMachine {
 
     /// A representative: a member plus the two collector phases.
     /// `members` must be the cluster's member list ascending (`peer`
-    /// included); `others` the `(cluster, representative)` pairs of
-    /// every other non-empty cluster. `round_start` and `phase_ticks`
-    /// position the phase-1 deadline at `round_start + 1 + phase_ticks`
-    /// (reports leave at `round_start` and arrive no earlier than one
-    /// tick later); the phase-2 deadline is set the same way when
-    /// phase 1 fires.
+    /// included); `roster` the round's representatives, `cluster`
+    /// included, shared by every representative of the round.
+    /// `round_start` and `phase_ticks` position the phase-1 deadline at
+    /// `round_start + 1 + phase_ticks` (reports leave at `round_start`
+    /// and arrive no earlier than one tick later); the phase-2 deadline
+    /// is set the same way when phase 1 fires.
+    ///
+    /// # Panics
+    /// Panics if `cluster` is not on `roster`.
     #[allow(clippy::too_many_arguments)]
     pub fn representative(
         peer: PeerId,
         cluster: ClusterId,
         members: Vec<PeerId>,
-        others: Vec<(ClusterId, PeerId)>,
+        roster: Arc<Roster>,
         plan: ReportPlan,
         use_locks: bool,
         round_start: u64,
         phase_ticks: u64,
     ) -> Self {
+        let own = roster
+            .position(cluster)
+            .expect("a representative's cluster is on its roster");
         let own_size = members.len() as u32;
         PeerStateMachine {
             peer,
@@ -246,20 +355,21 @@ impl PeerStateMachine {
             plan,
             sent_report: false,
             role: Role::Representative(Box::new(RepState {
+                reports_heard: Heard::new(members.len()),
+                clusters_heard: Heard::new(roster.len()),
+                summaries: vec![None; roster.len()],
                 members,
-                others,
+                roster,
+                own,
                 use_locks,
                 reports: Vec::new(),
-                reports_heard: BTreeSet::new(),
                 phase1_deadline: round_start + 1 + phase_ticks,
                 phase1_fired: false,
                 own_request: None,
                 peer_requests: Vec::new(),
-                clusters_heard: BTreeSet::new(),
                 phase2_deadline: u64::MAX,
                 phase2_fired: false,
                 own_size,
-                summaries: BTreeMap::new(),
             })),
         }
     }
@@ -297,11 +407,19 @@ impl PeerStateMachine {
     }
 
     /// Cluster sizes this peer has heard via `SummaryUpdate`, freshest
-    /// value per cluster (representatives only; empty for members).
+    /// value per cluster, ascending by cluster (representatives only;
+    /// empty for members). Updates for clusters off the roster are not
+    /// kept.
     pub fn heard_summaries(&self) -> Vec<(ClusterId, u32)> {
         match &self.role {
             Role::Member => Vec::new(),
-            Role::Representative(rep) => rep.summaries.iter().map(|(&c, &s)| (c, s)).collect(),
+            Role::Representative(rep) => rep
+                .roster
+                .reps()
+                .iter()
+                .zip(&rep.summaries)
+                .filter_map(|(&(c, _), &size)| Some((c, size?)))
+                .collect(),
         }
     }
 
@@ -339,7 +457,7 @@ impl PeerStateMachine {
             }
             if rep.phase1_fired
                 && !rep.phase2_fired
-                && (rep.clusters_heard.len() == rep.others.len() || now >= rep.phase2_deadline)
+                && (rep.clusters_heard.len() + 1 == rep.roster.len() || now >= rep.phase2_deadline)
             {
                 rep.fire_phase2(peer, cluster, out);
             }
@@ -372,27 +490,27 @@ impl PeerStateMachine {
                     // A frame from outside the snapshot's member list
                     // (a mid-round joiner) is consumed regardless of
                     // phase state — it is not late, just early.
-                    if rep.members.binary_search(&peer).is_err() {
+                    let Ok(slot) = rep.members.binary_search(&peer) else {
                         return true;
-                    }
+                    };
                     if rep.phase1_fired {
                         return false;
                     }
                     // A duplicate is consumed without advancing.
-                    if !rep.reports_heard.insert(peer) {
+                    if !rep.reports_heard.insert(slot) {
                         return true;
                     }
                     rep.reports.push((req, commitment));
                 } else {
                     // Same for a forward from a cluster the snapshot
                     // doesn't know, or one already heard.
-                    if !rep.others.iter().any(|&(c, _)| c == from) {
+                    let Some(slot) = rep.roster.position(from) else {
                         return true;
-                    }
+                    };
                     if rep.phase2_fired {
                         return false;
                     }
-                    if !rep.clusters_heard.insert(from) {
+                    if !rep.clusters_heard.insert(slot) {
                         return true;
                     }
                     rep.peer_requests.push(req);
@@ -405,21 +523,21 @@ impl PeerStateMachine {
                     return false;
                 };
                 if report {
-                    if rep.members.binary_search(&peer).is_err() {
+                    let Ok(slot) = rep.members.binary_search(&peer) else {
                         return true;
-                    }
+                    };
                     if rep.phase1_fired {
                         return false;
                     }
-                    rep.reports_heard.insert(peer);
+                    rep.reports_heard.insert(slot);
                 } else {
-                    if !rep.others.iter().any(|&(c, _)| c == from) {
+                    let Some(slot) = rep.roster.position(from) else {
                         return true;
-                    }
+                    };
                     if rep.phase2_fired {
                         return false;
                     }
-                    rep.clusters_heard.insert(from);
+                    rep.clusters_heard.insert(slot);
                 }
                 true
             }
@@ -459,14 +577,14 @@ impl PeerStateMachine {
                     cluster,
                     size: rep.own_size,
                 };
-                for &(_, other) in &rep.others {
-                    out.send(peer, other, update, MsgKind::SummaryUpdate);
-                }
+                rep.broadcast(peer, update, MsgKind::SummaryUpdate, out);
                 true
             }
             Message::SummaryUpdate { cluster, size } => {
                 if let Role::Representative(rep) = &mut self.role {
-                    rep.summaries.insert(cluster, size);
+                    if let Some(slot) = rep.roster.position(cluster) {
+                        rep.summaries[slot] = Some(size);
+                    }
                 }
                 true
             }
@@ -508,9 +626,7 @@ impl RepState {
                     claimed_gain: req.gain,
                     commitment,
                 };
-                for &(_, other) in &self.others {
-                    out.send(peer, other, forward, MsgKind::RelocationRequest);
-                }
+                self.broadcast(peer, forward, MsgKind::RelocationRequest, out);
                 out.event(MachineEvent::Forwarded(req));
             }
             None => {
@@ -518,9 +634,18 @@ impl RepState {
                     peer,
                     from: cluster,
                 };
-                for &(_, other) in &self.others {
-                    out.send(peer, other, hb, MsgKind::Heartbeat);
-                }
+                self.broadcast(peer, hb, MsgKind::Heartbeat, out);
+            }
+        }
+    }
+
+    /// Sends `msg` from `peer` to every other representative, walking
+    /// the roster in ascending cluster order past this cluster's own
+    /// position.
+    fn broadcast(&self, peer: PeerId, msg: Message, kind: MsgKind, out: &mut Outbox) {
+        for (slot, &(_, other)) in self.roster.reps().iter().enumerate() {
+            if slot != self.own {
+                out.send(peer, other, msg, kind);
             }
         }
     }
@@ -531,40 +656,40 @@ impl RepState {
     /// cluster, from what its view of the request list locks first).
     fn fire_phase2(&mut self, peer: PeerId, cluster: ClusterId, out: &mut Outbox) {
         self.phase2_fired = true;
-        let mut all: Vec<RelocationRequest> = self.peer_requests.clone();
-        if let Some((own, _)) = self.own_request {
-            all.push(own);
-        }
-        RelocationRequest::sort_requests(&mut all);
-        if self.own_request.is_none() {
+        let Some((own, _)) = self.own_request else {
             // Nothing of ours in the scan — no decision to make.
             return;
-        }
+        };
+        let mut all = std::mem::take(&mut self.peer_requests);
+        all.push(own);
+        RelocationRequest::sort_requests(&mut all);
+        // Only requests ranked ahead of ours can lock its clusters, so
+        // the scan stops at ours: the one request whose source is this
+        // cluster (forwards from other clusters never are).
         let mut locks = LockSet::new();
-        for &req in &all {
-            let verdict = locks.admit(&req, self.use_locks);
-            if req.src != cluster {
-                continue;
+        let verdict = all
+            .iter()
+            .map(|req| (req.src, locks.admit(req, self.use_locks)))
+            .find_map(|(src, verdict)| (src == cluster).then_some(verdict))
+            .expect("the own request is in the scan");
+        match verdict {
+            Verdict::Granted => {
+                out.send(
+                    peer,
+                    own.peer,
+                    Message::Grant {
+                        src: own.src,
+                        dst: own.dst,
+                        peer: own.peer,
+                        gain: own.gain,
+                    },
+                    MsgKind::GrantCoordination,
+                );
+                out.event(MachineEvent::Granted(own));
             }
-            match verdict {
-                Verdict::Granted => {
-                    out.send(
-                        peer,
-                        req.peer,
-                        Message::Grant {
-                            src: req.src,
-                            dst: req.dst,
-                            peer: req.peer,
-                            gain: req.gain,
-                        },
-                        MsgKind::GrantCoordination,
-                    );
-                    out.event(MachineEvent::Granted(req));
-                }
-                Verdict::SelfMove => self.deny(peer, req, DenyReason::SelfMove, out),
-                Verdict::JoinLocked | Verdict::LeaveLocked => {
-                    self.deny(peer, req, DenyReason::Locked, out)
-                }
+            Verdict::SelfMove => self.deny(peer, own, DenyReason::SelfMove, out),
+            Verdict::JoinLocked | Verdict::LeaveLocked => {
+                self.deny(peer, own, DenyReason::Locked, out)
             }
         }
     }
@@ -589,6 +714,15 @@ impl RepState {
 mod tests {
     use super::*;
 
+    /// The roster of `(cluster, representative)` id pairs.
+    fn roster(reps: &[(u32, u32)]) -> Arc<Roster> {
+        Arc::new(Roster::new(
+            reps.iter()
+                .map(|&(c, p)| (ClusterId(c), PeerId(p)))
+                .collect(),
+        ))
+    }
+
     fn drain_to(out: &mut Outbox, dst: PeerId) -> Vec<Message> {
         out.drain_frames()
             .into_iter()
@@ -607,7 +741,7 @@ mod tests {
             PeerId(0),
             ClusterId(0),
             vec![PeerId(0), PeerId(1)],
-            vec![(ClusterId(1), PeerId(2))],
+            roster(&[(0, 0), (1, 2)]),
             ReportPlan::heartbeat(),
             true,
             0,
@@ -690,7 +824,7 @@ mod tests {
             PeerId(0),
             ClusterId(0),
             vec![PeerId(0), PeerId(1)],
-            vec![],
+            roster(&[(0, 0)]),
             ReportPlan::heartbeat(),
             true,
             0,
@@ -733,7 +867,7 @@ mod tests {
             PeerId(0),
             ClusterId(0),
             vec![PeerId(0), PeerId(1)],
-            vec![],
+            roster(&[(0, 0)]),
             ReportPlan::heartbeat(),
             true,
             0,
@@ -777,6 +911,110 @@ mod tests {
         assert!(rep.done());
     }
 
+    /// The phase-2 counterpart: a forward or heartbeat from a cluster
+    /// off the roster (inside the position table or past it) and a
+    /// duplicate forward are consumed without advancing phase 2, and
+    /// heard summaries come back ascending by cluster.
+    #[test]
+    fn unknown_and_duplicate_forwards_do_not_advance_phase_two() {
+        let mut out = Outbox::new();
+        let mut rep = PeerStateMachine::representative(
+            PeerId(0),
+            ClusterId(0),
+            vec![PeerId(0)],
+            roster(&[(0, 0), (2, 5), (4, 7)]),
+            ReportPlan::heartbeat(),
+            true,
+            0,
+            8,
+        );
+        rep.poll(0, 8, &mut out);
+        assert!(rep.receive(
+            &Message::Heartbeat {
+                peer: PeerId(0),
+                from: ClusterId(0)
+            },
+            &mut out
+        ));
+        rep.poll(1, 8, &mut out);
+        // Phase 1 fired: a heartbeat to each other representative, in
+        // roster order; phase 2 now waits for clusters 2 and 4.
+        let dsts: Vec<PeerId> = out.drain_frames().iter().map(|f| f.1).collect();
+        assert_eq!(dsts, vec![PeerId(0), PeerId(5), PeerId(7)]);
+        assert_eq!(rep.next_deadline(), Some(10));
+        let forward = |from: u32| Message::Propose {
+            peer: PeerId(9),
+            from: ClusterId(from),
+            to: ClusterId(0),
+            claimed_gain: 0.5,
+            commitment: 3,
+        };
+        // Cluster 3 is inside the table but off the roster; 9 is past
+        // the table. Both are consumed, neither counts.
+        assert!(rep.receive(
+            &Message::Heartbeat {
+                peer: PeerId(6),
+                from: ClusterId(3)
+            },
+            &mut out
+        ));
+        assert!(rep.receive(&forward(9), &mut out));
+        // Cluster 2's forward, twice: the duplicate is absorbed.
+        assert!(rep.receive(&forward(2), &mut out));
+        assert!(rep.receive(&forward(2), &mut out));
+        rep.poll(2, 8, &mut out);
+        assert!(!rep.done(), "cluster 4 is still unheard");
+        assert_eq!(rep.next_deadline(), Some(10));
+        assert!(rep.receive(
+            &Message::Heartbeat {
+                peer: PeerId(7),
+                from: ClusterId(4)
+            },
+            &mut out
+        ));
+        rep.poll(3, 8, &mut out);
+        assert!(rep.done());
+
+        for (cluster, size) in [(4, 3), (2, 6), (9, 1), (3, 2), (2, 7)] {
+            assert!(rep.receive(
+                &Message::SummaryUpdate {
+                    cluster: ClusterId(cluster),
+                    size
+                },
+                &mut out
+            ));
+        }
+        assert_eq!(
+            rep.heard_summaries(),
+            vec![(ClusterId(2), 7), (ClusterId(4), 3)]
+        );
+    }
+
+    #[test]
+    fn roster_looks_clusters_up_by_position() {
+        let roster = roster(&[(1, 4), (3, 8)]);
+        assert_eq!(roster.len(), 2);
+        assert_eq!(roster.position(ClusterId(3)), Some(1));
+        assert_eq!(roster.representative(ClusterId(1)), Some(PeerId(4)));
+        assert_eq!(roster.position(ClusterId(0)), None);
+        assert_eq!(roster.position(ClusterId(2)), None);
+        assert_eq!(roster.position(ClusterId(4)), None);
+        assert_eq!(roster.representative(ClusterId(u32::MAX)), None);
+        assert!(Roster::new(Vec::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending by cluster id")]
+    fn roster_rejects_unsorted_pairs() {
+        Roster::new(vec![(ClusterId(3), PeerId(1)), (ClusterId(1), PeerId(0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending by cluster id")]
+    fn roster_rejects_a_repeated_cluster() {
+        Roster::new(vec![(ClusterId(1), PeerId(1)), (ClusterId(1), PeerId(0))]);
+    }
+
     #[test]
     fn epsilon_window_tie_breaks_to_lower_peer_id() {
         let mut out = Outbox::new();
@@ -784,7 +1022,7 @@ mod tests {
             PeerId(0),
             ClusterId(0),
             vec![PeerId(0), PeerId(1), PeerId(2)],
-            vec![(ClusterId(1), PeerId(9))],
+            roster(&[(0, 0), (1, 9)]),
             ReportPlan::heartbeat(),
             true,
             0,
@@ -888,7 +1126,7 @@ mod tests {
             PeerId(0),
             ClusterId(0),
             vec![PeerId(0), PeerId(1)],
-            vec![(ClusterId(3), PeerId(5)), (ClusterId(4), PeerId(7))],
+            roster(&[(0, 0), (3, 5), (4, 7)]),
             ReportPlan::heartbeat(),
             true,
             0,

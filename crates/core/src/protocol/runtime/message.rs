@@ -185,16 +185,43 @@ const TAG_DENY: u8 = 4;
 const TAG_COMMIT: u8 = 5;
 const TAG_SUMMARY: u8 = 6;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Byte length of the longest frame: a `Propose` or `Commit` (tag,
+/// three `u32`s, two 8-byte fields).
+pub(crate) const MAX_FRAME_LEN: usize = 29;
+
+/// One encoded frame held inline: the wire bytes in a fixed
+/// [`MAX_FRAME_LEN`]-byte buffer plus their length, so carrying a frame
+/// allocates nothing. [`Message::frame`] builds one;
+/// [`as_bytes`](Frame::as_bytes) is what [`Message::decode`] reads.
+#[derive(Debug)]
+pub(crate) struct Frame {
+    len: u8,
+    bytes: [u8; MAX_FRAME_LEN],
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+impl Frame {
+    /// The encoded bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+    fn put(&mut self, field: &[u8]) {
+        let start = usize::from(self.len);
+        self.bytes[start..start + field.len()].copy_from_slice(field);
+        self.len += field.len() as u8;
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
 }
 
 struct Reader<'a> {
@@ -233,9 +260,12 @@ impl<'a> Reader<'a> {
 }
 
 impl Message {
-    /// Serializes the message to its wire frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(29);
+    /// Serializes the message to its wire frame, held inline.
+    pub(crate) fn frame(&self) -> Frame {
+        let mut out = Frame {
+            len: 0,
+            bytes: [0; MAX_FRAME_LEN],
+        };
         match *self {
             Message::Propose {
                 peer,
@@ -244,17 +274,17 @@ impl Message {
                 claimed_gain,
                 commitment,
             } => {
-                out.push(TAG_PROPOSE);
-                put_u32(&mut out, peer.0);
-                put_u32(&mut out, from.0);
-                put_u32(&mut out, to.0);
-                put_f64(&mut out, claimed_gain);
-                put_u64(&mut out, commitment);
+                out.put(&[TAG_PROPOSE]);
+                out.put_u32(peer.0);
+                out.put_u32(from.0);
+                out.put_u32(to.0);
+                out.put_f64(claimed_gain);
+                out.put_u64(commitment);
             }
             Message::Heartbeat { peer, from } => {
-                out.push(TAG_HEARTBEAT);
-                put_u32(&mut out, peer.0);
-                put_u32(&mut out, from.0);
+                out.put(&[TAG_HEARTBEAT]);
+                out.put_u32(peer.0);
+                out.put_u32(from.0);
             }
             Message::Grant {
                 src,
@@ -262,11 +292,11 @@ impl Message {
                 peer,
                 gain,
             } => {
-                out.push(TAG_GRANT);
-                put_u32(&mut out, src.0);
-                put_u32(&mut out, dst.0);
-                put_u32(&mut out, peer.0);
-                put_f64(&mut out, gain);
+                out.put(&[TAG_GRANT]);
+                out.put_u32(src.0);
+                out.put_u32(dst.0);
+                out.put_u32(peer.0);
+                out.put_f64(gain);
             }
             Message::Deny {
                 src,
@@ -274,14 +304,14 @@ impl Message {
                 peer,
                 reason,
             } => {
-                out.push(TAG_DENY);
-                put_u32(&mut out, src.0);
-                put_u32(&mut out, dst.0);
-                put_u32(&mut out, peer.0);
-                out.push(match reason {
+                out.put(&[TAG_DENY]);
+                out.put_u32(src.0);
+                out.put_u32(dst.0);
+                out.put_u32(peer.0);
+                out.put(&[match reason {
                     DenyReason::Locked => 0,
                     DenyReason::SelfMove => 1,
-                });
+                }]);
             }
             Message::Commit {
                 peer,
@@ -290,20 +320,26 @@ impl Message {
                 claimed_gain,
                 nonce,
             } => {
-                out.push(TAG_COMMIT);
-                put_u32(&mut out, peer.0);
-                put_u32(&mut out, from.0);
-                put_u32(&mut out, to.0);
-                put_f64(&mut out, claimed_gain);
-                put_u64(&mut out, nonce);
+                out.put(&[TAG_COMMIT]);
+                out.put_u32(peer.0);
+                out.put_u32(from.0);
+                out.put_u32(to.0);
+                out.put_f64(claimed_gain);
+                out.put_u64(nonce);
             }
             Message::SummaryUpdate { cluster, size } => {
-                out.push(TAG_SUMMARY);
-                put_u32(&mut out, cluster.0);
-                put_u32(&mut out, size);
+                out.put(&[TAG_SUMMARY]);
+                out.put_u32(cluster.0);
+                out.put_u32(size);
             }
         }
         out
+    }
+
+    /// Serializes the message to its wire frame. The fabric carries the
+    /// same bytes inline, without this buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        self.frame().as_bytes().to_vec()
     }
 
     /// Parses a wire frame. Rejects an unknown tag, a short buffer,
@@ -443,6 +479,32 @@ mod tests {
             cluster: ClusterId(6),
             size: 42,
         });
+    }
+
+    /// `MAX_FRAME_LEN` is exactly the longest frame: `Propose` and
+    /// `Commit` fill the inline buffer (every variant fits, or
+    /// `every_variant_round_trips` would panic while encoding).
+    #[test]
+    fn longest_frames_fill_the_inline_buffer() {
+        for msg in [
+            Message::Propose {
+                peer: PeerId(u32::MAX),
+                from: ClusterId(1),
+                to: ClusterId(2),
+                claimed_gain: 1.0,
+                commitment: u64::MAX,
+            },
+            Message::Commit {
+                peer: PeerId(3),
+                from: ClusterId(1),
+                to: ClusterId(2),
+                claimed_gain: -1.0,
+                nonce: 7,
+            },
+        ] {
+            assert_eq!(msg.frame().as_bytes().len(), MAX_FRAME_LEN);
+            assert_eq!(msg.encode(), msg.frame().as_bytes());
+        }
     }
 
     #[test]

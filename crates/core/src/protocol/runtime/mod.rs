@@ -9,10 +9,11 @@
 //!   fixed-width little-endian codec that round-trips bit-for-bit.
 //! - [`machine`] — per-peer automata: members report and commit,
 //!   representatives run the two collect-then-fire phases with the sync
-//!   engine's exact selection and lock arithmetic.
+//!   engine's exact selection and lock arithmetic, over one shared
+//!   [`Roster`] of the round's representatives.
 //! - [`simnet`] — the deterministic fabric: seeded per-link delay and
-//!   drop draws, deliveries totally ordered on `(deliver_tick,
-//!   msg_seq)` so every run replays byte-identically.
+//!   drop draws, deliveries totally ordered on `(deliver_tick, send
+//!   order)` so every run replays byte-identically.
 //!
 //! [`RuntimeEngine`] composes the three against a live
 //! [`System`](crate::system::System). Under [`NetConfig::ideal`] (zero
@@ -34,7 +35,7 @@ mod engine;
 pub use engine::{
     CommitRecord, EvidenceLog, FaultReport, LiarConfig, LiarMode, RuntimeChurn, RuntimeEngine,
 };
-pub use machine::{MachineEvent, Outbox, PeerStateMachine, ReportPlan};
+pub use machine::{MachineEvent, Outbox, PeerStateMachine, ReportPlan, Roster};
 pub use message::{gain_commitment, DecodeError, DenyReason, Message};
 pub use simnet::{
     CrashWindow, DelayDist, FaultSchedule, NetConfig, NetStats, Partition, PartitionKind, SimNet,

@@ -3,12 +3,16 @@
 //! [`SimNet`] is a discrete-time message fabric: a send at tick `t`
 //! either drops (per-link Bernoulli draw) or is scheduled for delivery
 //! at `t + 1 + delay`, with the delay drawn from the configured
-//! [`DelayDist`]. Deliveries pop in total order on
-//! `(deliver_tick, msg_seq)` — `msg_seq` is the global send counter —
-//! so two runs over the same seed replay **byte-identically**, no
-//! matter how messages interleave. All randomness comes from one
-//! [`StdRng`] seeded from [`NetConfig::seed`] and consumed in send
-//! order; nothing reads wall-clock or thread identity.
+//! [`DelayDist`]. Deliveries pop in total order on `(deliver_tick,
+//! send order)`, so two runs over the same seed replay
+//! **byte-identically**, no matter how messages interleave. In-flight
+//! frames sit in one queue per delivery tick, each in send order, and
+//! are popped tick by tick, front to back: a frame costs the same to
+//! send and to deliver however many others are in flight, and it is
+//! carried as its encoded bytes held inline, never a heap buffer. All
+//! randomness comes from one [`StdRng`] seeded from [`NetConfig::seed`]
+//! and consumed in send order; nothing reads wall-clock or thread
+//! identity.
 //!
 //! On top of the random per-link schedule sits a *deterministic*
 //! [`FaultSchedule`]: timed network partitions (peer-set bisections and
@@ -19,15 +23,14 @@
 //! attributes each loss to its cause (`dropped` vs `cut` vs `crashed`
 //! vs `departed`), so a partition can never masquerade as fabric loss.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use recluster_overlay::{MsgKind, SimNetwork};
 use recluster_types::{seeded_rng, PeerId};
 
-use super::message::Message;
+use super::message::{Frame, Message};
 
 /// Per-link delivery-delay distribution, in ticks on top of the
 /// baseline 1-tick hop.
@@ -244,48 +247,28 @@ pub struct NetStats {
     pub stale: u64,
 }
 
-/// One in-flight frame. Ordering is **only** `(deliver_tick, seq)`:
-/// the total order that makes replays byte-identical.
-#[derive(Debug, Clone)]
+/// One in-flight frame; its delivery tick is the key of the queue it
+/// waits in.
+#[derive(Debug)]
 struct Envelope {
-    deliver_tick: u64,
-    seq: u64,
     src: PeerId,
     dst: PeerId,
-    bytes: Vec<u8>,
+    frame: Frame,
 }
 
-impl PartialEq for Envelope {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_tick == other.deliver_tick && self.seq == other.seq
-    }
-}
-
-impl Eq for Envelope {}
-
-impl PartialOrd for Envelope {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Envelope {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // (tick, seq) first.
-        (other.deliver_tick, other.seq).cmp(&(self.deliver_tick, self.seq))
-    }
-}
-
-/// The deterministic scheduler: seeded drops and delays on send, a
-/// total-order heap on delivery.
+/// The deterministic scheduler: seeded drops and delays on send, and
+/// in-flight frames queued per delivery tick in send order.
 #[derive(Debug)]
 pub struct SimNet {
     config: NetConfig,
     faults: FaultSchedule,
     rng: StdRng,
-    heap: BinaryHeap<Envelope>,
-    seq: u64,
+    /// In-flight frames by delivery tick. Every queue is non-empty and
+    /// holds its frames in send order, so popping the queues in tick
+    /// order, each front to back, is the `(deliver_tick, send order)`
+    /// total order — also for a send into the past, which joins its
+    /// tick's queue behind every earlier send.
+    in_flight: BTreeMap<u64, VecDeque<Envelope>>,
     stats: NetStats,
 }
 
@@ -300,8 +283,7 @@ impl SimNet {
             rng: seeded_rng(config.seed),
             config,
             faults: FaultSchedule::none(),
-            heap: BinaryHeap::new(),
-            seq: 0,
+            in_flight: BTreeMap::new(),
             stats: NetStats::default(),
         }
     }
@@ -340,10 +322,9 @@ impl SimNet {
         kind: MsgKind,
         ledger: &mut SimNetwork,
     ) -> Option<u64> {
-        let bytes = msg.encode();
-        ledger.send(kind, bytes.len() as u64);
+        let frame = msg.frame();
+        ledger.send(kind, frame.as_bytes().len() as u64);
         self.stats.sent += 1;
-        self.seq += 1;
         // Faults are deterministic and consulted before the drop/delay
         // draws: a faulted frame consumes no randomness, so the RNG
         // stream of the surviving frames matches a fault-free run's
@@ -361,42 +342,42 @@ impl SimNet {
             return None;
         }
         let deliver_tick = now + 1 + self.config.delay.sample(&mut self.rng);
-        self.heap.push(Envelope {
-            deliver_tick,
-            seq: self.seq,
-            src,
-            dst,
-            bytes,
-        });
+        self.in_flight
+            .entry(deliver_tick)
+            .or_default()
+            .push_back(Envelope { src, dst, frame });
         Some(deliver_tick)
     }
 
     /// The tick of the earliest in-flight frame.
     pub fn next_tick(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.deliver_tick)
+        self.in_flight.first_key_value().map(|(&tick, _)| tick)
     }
 
     /// Pops the next frame due at or before `tick`, in
-    /// `(deliver_tick, seq)` order.
+    /// `(deliver_tick, send order)`.
     ///
     /// # Panics
     /// Panics if an in-flight frame fails to decode — the fabric only
-    /// carries frames produced by [`Message::encode`], so that is a
-    /// codec bug, not a runtime condition.
+    /// carries frames it encoded itself, so that is a codec bug, not a
+    /// runtime condition.
     pub fn pop_due(&mut self, tick: u64) -> Option<(PeerId, PeerId, Message)> {
-        if self.heap.peek().is_some_and(|e| e.deliver_tick <= tick) {
-            let env = self.heap.pop().expect("peeked");
-            let msg = Message::decode(&env.bytes).expect("in-flight frame must decode");
-            self.stats.delivered += 1;
-            Some((env.src, env.dst, msg))
-        } else {
-            None
+        let mut due = self.in_flight.first_entry().filter(|e| *e.key() <= tick)?;
+        let env = due
+            .get_mut()
+            .pop_front()
+            .expect("in-flight queues are non-empty");
+        if due.get().is_empty() {
+            due.remove();
         }
+        let msg = Message::decode(env.frame.as_bytes()).expect("in-flight frame must decode");
+        self.stats.delivered += 1;
+        Some((env.src, env.dst, msg))
     }
 
     /// Whether any frame is still in flight.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.in_flight.is_empty()
     }
 
     /// Counts a frame the receiver discarded as late.

@@ -14,16 +14,21 @@
 //!   reproduces the final assignment exactly (every commit applied
 //!   once, from the cluster the frame names, never out of order); with
 //!   churn, a departed peer stays gone (no late commit resurrects it).
+//!
+//! Under all three sits the fabric's own contract, checked against a
+//! reference model: whatever the interleaving of sends (into the past
+//! included) and pops, [`SimNet`] delivers in `(delivery tick, send
+//! order)` exactly what was sent.
 
 mod common;
 
 use common::{apply, arb_ops, arb_seed_syms, fixture, N_PEERS, N_SYMS};
 use proptest::prelude::*;
 use recluster_core::{
-    CrashWindow, DelayDist, FaultSchedule, NetConfig, Partition, PartitionKind, ProtocolConfig,
-    RoundOutcome, RuntimeChurn, RuntimeEngine, SelfishStrategy, System,
+    CrashWindow, DelayDist, FaultSchedule, Message, NetConfig, Partition, PartitionKind,
+    ProtocolConfig, RoundOutcome, RuntimeChurn, RuntimeEngine, SelfishStrategy, SimNet, System,
 };
-use recluster_overlay::SimNetwork;
+use recluster_overlay::{MsgKind, SimNetwork};
 use recluster_types::{ClusterId, Document, PeerId, Query, Sym, Workload};
 
 fn config() -> ProtocolConfig {
@@ -121,6 +126,83 @@ fn arb_net() -> impl Strategy<Value = NetConfig> {
             drop_rate,
             phase_ticks: max_delay + 2,
         })
+}
+
+/// One step of a fabric script.
+#[derive(Debug, Clone)]
+enum FabricOp {
+    /// `send(now, src, dst, msg)`; `now` is arbitrary, so a send can
+    /// land behind ticks already popped.
+    Send {
+        now: u64,
+        src: u32,
+        dst: u32,
+        msg: Message,
+    },
+    /// `pop_due(tick)`.
+    Pop { tick: u64 },
+}
+
+/// Scripts of sends at arbitrary ticks interleaved with pops; three
+/// send arms to one pop arm keep frames in flight.
+fn arb_fabric_script() -> impl Strategy<Value = Vec<FabricOp>> {
+    let send = || {
+        (
+            0u64..40,
+            0u32..N_PEERS as u32,
+            0u32..N_PEERS as u32,
+            0u32..N_PEERS as u32,
+            0u64..=u64::MAX,
+            proptest::bool::ANY,
+        )
+            .prop_map(|(now, src, dst, cluster, bits, propose)| {
+                let msg = if propose {
+                    Message::Propose {
+                        peer: PeerId(src),
+                        from: ClusterId(cluster),
+                        to: ClusterId(dst),
+                        claimed_gain: f64::from_bits(bits),
+                        commitment: bits.rotate_left(17),
+                    }
+                } else {
+                    Message::Heartbeat {
+                        peer: PeerId(src),
+                        from: ClusterId(cluster),
+                    }
+                };
+                FabricOp::Send { now, src, dst, msg }
+            })
+    };
+    let pop = (0u64..48).prop_map(|tick| FabricOp::Pop { tick });
+    proptest::collection::vec(prop_oneof![send(), send(), send(), pop], 0..120)
+}
+
+/// An accepted send as the reference model records it: delivery tick,
+/// send index, source, destination and frame bytes.
+type Sent = (u64, usize, PeerId, PeerId, Vec<u8>);
+
+/// Pops `net` at `tick` and holds the result to the model's least entry
+/// due by `tick` (removing it); returns whether a frame came out.
+fn pop_checked(net: &mut SimNet, model: &mut Vec<Sent>, tick: u64) -> Result<bool, TestCaseError> {
+    let due = model
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.0 <= tick)
+        .min_by_key(|(_, e)| (e.0, e.1))
+        .map(|(i, _)| i);
+    match (due, net.pop_due(tick)) {
+        (None, None) => Ok(false),
+        (Some(i), Some((src, dst, msg))) => {
+            let (_, _, want_src, want_dst, bytes) = model.remove(i);
+            prop_assert_eq!((src, dst), (want_src, want_dst));
+            prop_assert_eq!(msg.encode(), bytes);
+            Ok(true)
+        }
+        (due, got) => Err(TestCaseError::fail(format!(
+            "pop_due({tick}): model has {:?}, fabric returned {got:?}",
+            due.map(|i| &model[i]),
+        ))),
+    }
 }
 
 fn build(seed_docs: &[Vec<u32>], seed_queries: &[Vec<u32>], ops: &[common::Op]) -> System {
@@ -263,5 +345,68 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    // Fabric scripts are cheap: run many more of them.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fabric against a reference model: every accepted send is
+    /// recorded as `(delivery tick, send index, frame)`, and each
+    /// `pop_due(t)` must return the model's least entry due by `t`, bit
+    /// for bit, or nothing when none is due. `next_tick` is the model's
+    /// least tick throughout, the sent and delivered counters match, and
+    /// a final drain empties both.
+    #[test]
+    fn fabric_delivers_in_tick_then_send_order(
+        script in arb_fabric_script(),
+        seed in 0u64..1000,
+        max_delay in 0u64..=6,
+        drop_pct in 0u32..=50,
+        faults in arb_faults(),
+        faulted in proptest::bool::ANY,
+    ) {
+        let config = NetConfig {
+            seed,
+            delay: DelayDist::Uniform { min: 0, max: max_delay },
+            drop_rate: f64::from(drop_pct) / 100.0,
+            phase_ticks: max_delay + 2,
+        };
+        let mut net = SimNet::new(config);
+        if faulted {
+            net = net.with_faults(faults);
+        }
+        let mut ledger = SimNetwork::new();
+        let mut model: Vec<Sent> = Vec::new();
+        let (mut sent, mut delivered) = (0u64, 0u64);
+        for (index, op) in script.into_iter().enumerate() {
+            match op {
+                FabricOp::Send { now, src, dst, msg } => {
+                    let (src, dst) = (PeerId(src), PeerId(dst));
+                    sent += 1;
+                    if let Some(tick) =
+                        net.send(now, src, dst, &msg, MsgKind::Heartbeat, &mut ledger)
+                    {
+                        prop_assert!(tick > now && tick <= now + 1 + max_delay);
+                        model.push((tick, index, src, dst, msg.encode()));
+                    }
+                }
+                FabricOp::Pop { tick } => {
+                    if pop_checked(&mut net, &mut model, tick)? {
+                        delivered += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(net.next_tick(), model.iter().map(|e| e.0).min());
+            prop_assert_eq!(net.stats().sent, sent);
+            prop_assert_eq!(net.stats().delivered, delivered);
+        }
+        while pop_checked(&mut net, &mut model, u64::MAX)? {
+            delivered += 1;
+        }
+        prop_assert!(model.is_empty());
+        prop_assert!(net.is_empty());
+        prop_assert_eq!(net.stats().delivered, delivered);
     }
 }

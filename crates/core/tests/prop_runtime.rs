@@ -7,8 +7,8 @@
 //! [`ProtocolEngine`]:
 //!
 //! * every [`RoundOutcome`] field — forwarded requests, granted moves,
-//!   `scost`/`wcost` bits, cluster count, proposal counters — round for
-//!   round,
+//!   `scost`/`wcost` bits, cluster count, proposal counters, the count
+//!   of peers that proposed — round for round,
 //! * the final cluster membership of every peer, and
 //! * the message counts the two drivers account identically
 //!   (gain reports, relocation requests, representative heartbeats).
@@ -50,6 +50,7 @@ fn round_bits(
     usize,
     usize,
     usize,
+    usize,
 ) {
     (
         r.round,
@@ -60,6 +61,7 @@ fn round_bits(
         r.non_empty_clusters,
         r.proposals_recomputed,
         r.proposals_memoized,
+        r.proposed,
     )
 }
 
