@@ -21,6 +21,7 @@
 
 use std::env;
 
+use recluster_sim::knobs::env_u64;
 use recluster_sim::{Parallelism, RoutingMode};
 
 /// Seed used by all experiment binaries unless overridden by the
@@ -29,18 +30,16 @@ pub const DEFAULT_SEED: u64 = 2008;
 
 /// Reads the sweep parallelism (`RECLUSTER_THREADS`): `1` forces the
 /// sequential runner, any larger value pins that worker count, unset
-/// (or `0`) uses every available core. Parallel and sequential sweeps
-/// produce byte-identical reports (asserted in
+/// (or `0`) uses every available core; a malformed value warns on
+/// stderr and counts as unset. Parallel and sequential sweeps produce
+/// byte-identical reports (asserted in
 /// `recluster-sim/tests/determinism.rs`), so this only trades wall
 /// clock, never results.
 pub fn parallelism_from_env() -> Parallelism {
-    match env::var("RECLUSTER_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
+    match env_u64("RECLUSTER_THREADS") {
         Some(1) => Parallelism::Sequential,
         Some(0) | None => Parallelism::Auto,
-        Some(n) => Parallelism::Threads(n),
+        Some(n) => usize::try_from(n).map_or(Parallelism::Auto, Parallelism::Threads),
     }
 }
 
@@ -63,12 +62,10 @@ pub fn routing_from_env() -> RoutingMode {
 }
 
 /// Reads the experiment seed (`RECLUSTER_SEED`, default
-/// [`DEFAULT_SEED`]).
+/// [`DEFAULT_SEED`]); a malformed value warns on stderr and falls back
+/// to the default.
 pub fn seed_from_env() -> u64 {
-    env::var("RECLUSTER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
+    env_u64("RECLUSTER_SEED").unwrap_or(DEFAULT_SEED)
 }
 
 /// Whether to run the miniature testbed instead of the paper-scale one

@@ -38,10 +38,10 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use recluster_overlay::{
-    charge_cluster_answer, route_to_clusters, AnnotatedResult, ContentStore, MsgKind, Overlay,
-    RoutePlan, RoutingMode, SimNetwork, SummaryMode,
+    charge_cluster_answer, MsgKind, Overlay, RoutePlan, RoutingMode, SimNetwork, SummaryMode,
 };
 use recluster_types::{ClusterId, PeerId, Query, Workload};
 
@@ -61,7 +61,7 @@ pub struct QueryObservation {
     pub weight: f64,
     /// Results received per answering cluster (cid annotations), sorted
     /// by cluster id with no duplicates — a compact sorted vector
-    /// instead of a tree map, built from a reused dense buffer.
+    /// instead of a tree map, read from the query's mass cells.
     pub per_cluster: Vec<(ClusterId, u64)>,
     /// Total results received across all clusters.
     pub total: u64,
@@ -267,7 +267,7 @@ pub fn simulate_period_routed(
             let eval = core.evals[qid]
                 .as_ref()
                 .expect("a live holder implies the query was evaluated");
-            let own = system.store().result_count(query, requester);
+            let own = index.result(qid as QueryId, requester);
             let weight = workload.frequency(query);
             observations[requester.index()].push(QueryObservation {
                 query: query.clone(),
@@ -300,10 +300,11 @@ pub fn simulate_period_routed(
 /// dominates both the allocation volume and the peak RSS of a period,
 /// and the oracle repair path never reads them.
 ///
-/// It walks no cluster's members either: the traffic a target cluster
-/// costs (one forward, one return per answering member) and the results
-/// it returns are both in the query's [`RecallIndex`] mass cell
-/// ([`RecallIndex::cluster_answer`]), so each target is one lookup.
+/// Both walks share one per-query target loop: the traffic a target
+/// cluster costs (one forward, one return per answering member) and the
+/// results it returns are in the query's [`RecallIndex`] mass cell
+/// ([`RecallIndex::cluster_answer`]), so each target is one lookup and
+/// neither walk visits a cluster's members.
 pub fn simulate_period_traffic(
     system: &System,
     net: &mut SimNetwork,
@@ -312,49 +313,46 @@ pub fn simulate_period_traffic(
     run_period_core(system, net, mode, false).report
 }
 
-/// One distinct query's shared evaluation — identical for every
-/// holder (content is fixed within the period), fanned out to the
-/// per-peer observations afterwards.
+/// One distinct query's shared evaluation — identical for every holder
+/// (content is fixed within the period). The per-peer fan-out copies
+/// its counts into each holder's observation, and the served pass reads
+/// its routed clusters and demand buckets.
 struct QueryEval {
-    per_cluster: Vec<(ClusterId, u64)>,
-    total: u64,
-}
-
-/// Everything one distinct query's evaluation produces before any
-/// shared state is touched: the unscaled message ledger, the annotated
-/// results, the demand buckets, and the raw (per-single-occurrence)
-/// report counters. Packets are pure per-query values, so they can be
-/// produced on any thread; folding them into the network/report/served
-/// state happens in one sequential qid-order merge, which makes the
-/// sharded walk byte-identical to the sequential one by construction.
-struct QueryPacket {
-    /// Total live demand (occurrences summed over live holders).
-    total_demand: u64,
-    /// Live demand bucketed by requesting cluster index, ascending.
-    demand_buckets: Vec<(usize, u64)>,
-    /// The single-evaluation message ledger (unscaled).
-    ledger: SimNetwork,
-    /// The cid-annotated results of the single evaluation.
-    results: Vec<AnnotatedResult>,
-    /// Per-answering-cluster result counts, ascending by cluster id.
+    /// Per-answering-cluster result counts, ascending by cluster id
+    /// (empty on the traffic-only walk).
     per_cluster: Vec<(ClusterId, u64)>,
     /// Total results of the single evaluation.
     total: u64,
+    /// Live demand bucketed by requesting cluster index, ascending.
+    demand_buckets: Vec<(usize, u64)>,
+}
+
+/// Everything one distinct query's evaluation produces before any
+/// shared state is touched: the unscaled message ledger, the shared
+/// evaluation, and the raw (per-single-occurrence) report counters.
+/// Packets are pure per-query values, so they can be produced on any
+/// thread; folding them into the network and report happens in one
+/// sequential qid-order merge, which makes the sharded walk
+/// byte-identical to the sequential one by construction.
+struct QueryPacket {
+    /// Total live demand (occurrences summed over live holders).
+    total_demand: u64,
+    /// The single-evaluation message ledger (unscaled).
+    ledger: SimNetwork,
+    eval: QueryEval,
     /// `QueryForward` messages of the single evaluation.
     forwards: u64,
     /// Results a lossy summary skipped (raw; demand-scaled at merge).
     missed: u64,
 }
 
-/// Reusable per-worker evaluation buffers: a scratch ledger, dense
-/// per-cluster accumulators (result counts, live demand) plus their
-/// touched-slot lists (reset in O(touched), not O(cmax)). The sharded
+/// Reusable per-worker evaluation buffers: a scratch ledger, the routed
+/// target list, and a dense per-cluster demand accumulator plus its
+/// touched-slot list (reset in O(touched), not O(cmax)). The sharded
 /// path builds one per range; the sequential path reuses one for the
 /// whole period.
 struct EvalBufs {
     scratch: SimNetwork,
-    cluster_acc: Vec<u64>,
-    touched: Vec<usize>,
     routed_targets: Vec<ClusterId>,
     demand_acc: Vec<u64>,
     demand_touched: Vec<usize>,
@@ -364,8 +362,6 @@ impl EvalBufs {
     fn new(cmax: usize) -> Self {
         EvalBufs {
             scratch: SimNetwork::new(),
-            cluster_acc: vec![0; cmax],
-            touched: Vec::new(),
             routed_targets: Vec::new(),
             demand_acc: vec![0; cmax],
             demand_touched: Vec::new(),
@@ -378,15 +374,14 @@ impl EvalBufs {
 /// non-empty cluster list and the route plan are built once.
 struct PeriodCtx<'a> {
     overlay: &'a Overlay,
-    store: &'a ContentStore,
     workloads: &'a [Workload],
     index: &'a RecallIndex,
     cache: &'a CostCache,
     non_empty: &'a [ClusterId],
     plan: Option<&'a RoutePlan>,
     lossy: bool,
-    /// Whether the walk collects observations (per-peer results) or
-    /// only charges traffic.
+    /// Whether the walk collects observations (per-cluster counts and
+    /// served credit) or only charges traffic.
     collect: bool,
 }
 
@@ -428,7 +423,10 @@ impl PeriodCtx<'_> {
         // Evaluate once; the caller charges the network for every
         // occurrence of every live holder (the ledger totals are linear,
         // so one `merge_scaled` by the demand sum equals the per-holder
-        // walk).
+        // walk). Each target's mass cell holds its result total and
+        // answering-member count — the ledger and counts a walk of its
+        // members would produce, in one lookup. Targets ascend, so
+        // `per_cluster` does too.
         bufs.scratch.reset();
         let targets: &[ClusterId] = match self.plan {
             None => self.non_empty,
@@ -438,46 +436,19 @@ impl PeriodCtx<'_> {
             }
         };
         let qid_key = qid as QueryId;
-        let (results, per_cluster, total) = if self.collect {
-            // Observations credit each answering peer (served
-            // contribution), so this walk visits the members.
-            let results =
-                route_to_clusters(self.overlay, self.store, query, targets, &mut bufs.scratch);
-            let mut total = 0u64;
-            for r in &results {
-                let slot = r.cluster.index();
-                if bufs.cluster_acc[slot] == 0 {
-                    bufs.touched.push(slot);
-                }
-                bufs.cluster_acc[slot] += r.count;
-                total += r.count;
+        let mut per_cluster = Vec::new();
+        let mut total = 0u64;
+        for &cid in targets {
+            if self.overlay.cluster(cid).is_empty() {
+                continue; // like `route_to_clusters`: no traffic
             }
-            bufs.touched.sort_unstable();
-            let per_cluster = bufs
-                .touched
-                .iter()
-                .map(|&slot| (ClusterId::from_index(slot), bufs.cluster_acc[slot]))
-                .collect();
-            for &slot in &bufs.touched {
-                bufs.cluster_acc[slot] = 0;
+            let (answered, holders) = self.index.cluster_answer(qid_key, cid);
+            charge_cluster_answer(&mut bufs.scratch, query, u64::from(holders));
+            total += answered;
+            if self.collect && answered > 0 {
+                per_cluster.push((cid, answered));
             }
-            bufs.touched.clear();
-            (results, per_cluster, total)
-        } else {
-            // Traffic only: each target's mass cell holds its result
-            // total and answering-member count — the same ledger and
-            // total as the member walk above, without visiting a member.
-            let mut total = 0u64;
-            for &cid in targets {
-                if self.overlay.cluster(cid).is_empty() {
-                    continue; // like `route_to_clusters`: no traffic
-                }
-                let (answered, holders) = self.index.cluster_answer(qid_key, cid);
-                charge_cluster_answer(&mut bufs.scratch, query, u64::from(holders));
-                total += answered;
-            }
-            (Vec::new(), Vec::new(), total)
-        };
+        }
         let forwards = bufs.scratch.messages(MsgKind::QueryForward);
         let mut missed = 0u64;
         if self.lossy {
@@ -502,22 +473,73 @@ impl PeriodCtx<'_> {
 
         Some(QueryPacket {
             total_demand,
-            demand_buckets,
             ledger: std::mem::replace(&mut bufs.scratch, SimNetwork::new()),
-            results,
-            per_cluster,
-            total,
+            eval: QueryEval {
+                per_cluster,
+                total,
+                demand_buckets,
+            },
             forwards,
             missed,
         })
+    }
+
+    /// The served credit of the peer at `slot` — the Eq. 6 numerators
+    /// per requesting cluster, weighted by query occurrences — and its
+    /// total. Pure in `slot`, like [`PeriodCtx::eval_query`].
+    ///
+    /// A live peer in `home` answers every routed query it holds results
+    /// for: its [`RecallIndex::results_of`] row, minus the queries with
+    /// no live demand and those the route never sent to `home` (a lossy
+    /// summary). Results a peer finds in its own store are not "sent"
+    /// and carry no contribution credit, so its own occurrences leave
+    /// its home-cluster bucket. The row ascends by qid and the buckets
+    /// by cluster, which is the order a qid-order merge over answering
+    /// peers credits this peer in: the fold is bit-identical to it by
+    /// construction, not only by integer exactness.
+    fn served_by(
+        &self,
+        slot: usize,
+        evals: &[Option<QueryEval>],
+    ) -> (BTreeMap<ClusterId, f64>, f64) {
+        let mut served = BTreeMap::new();
+        let mut total = 0.0;
+        let peer = PeerId::from_index(slot);
+        let Some(home) = self.overlay.cluster_of(peer) else {
+            return (served, total); // departed peers answer nothing
+        };
+        for &(qid, count) in self.index.results_of(peer) {
+            let Some(eval) = &evals[qid as usize] else {
+                continue; // no live demand: the period never routes it
+            };
+            if eval
+                .per_cluster
+                .binary_search_by_key(&home, |&(c, _)| c)
+                .is_err()
+            {
+                continue; // not routed to `home`
+            }
+            for &(ci, bucket) in &eval.demand_buckets {
+                let mut demand = bucket;
+                if ci == home.index() {
+                    demand -= self.workloads[slot].count(&self.index.queries()[qid as usize]);
+                }
+                if demand > 0 {
+                    let credit = demand as f64 * count as f64;
+                    *served.entry(ClusterId::from_index(ci)).or_insert(0.0) += credit;
+                    total += credit;
+                }
+            }
+        }
+        (served, total)
     }
 }
 
 /// The shared period walk behind both public variants: evaluate every
 /// distinct query (sharded across the rayon shim when the system is
-/// large), then fold the packets into the network, report and — when
-/// `collect` — the served-credit state and per-query evals, in one
-/// sequential qid-order merge.
+/// large) and fold the packets into the network and report in one
+/// sequential qid-order merge; when `collect`, keep the per-query evals
+/// and credit every live peer for what it served.
 struct PeriodCore {
     evals: Vec<Option<QueryEval>>,
     served: Vec<BTreeMap<ClusterId, f64>>,
@@ -535,7 +557,6 @@ fn run_period_core(
     let index = system.index();
     let n_slots = overlay.n_slots();
     let cmax = overlay.cmax();
-    let workloads = system.workloads();
     // The flushed cost cache supplies the query → holder lists: the
     // period walks each *distinct* query once instead of once per
     // holder, which removes the O(peers × workload) evaluation factor —
@@ -548,8 +569,7 @@ fn run_period_core(
     };
     let ctx = PeriodCtx {
         overlay,
-        store: system.store(),
-        workloads,
+        workloads: system.workloads(),
         index,
         cache: &cache_ref,
         non_empty: &non_empty,
@@ -561,28 +581,15 @@ fn run_period_core(
 
     // Each distinct query's evaluation reads only period-constant state,
     // so the walk shards into contiguous qid ranges with per-range
-    // buffers. The threshold keys on the *slot* count, not the query
-    // count: per-query work scales with membership — the demand
-    // bucketing visits every holder of the query, and the observation
-    // walk every member of each target cluster — so a small
-    // distinct-query set over a huge overlay is exactly the case worth
-    // sharding.
-    let packets: Vec<Option<QueryPacket>> = if crate::shard::should_shard(n_slots) {
-        crate::shard::map_ranges(n_queries, |range| {
-            let mut bufs = EvalBufs::new(cmax);
-            range
-                .map(|qid| ctx.eval_query(qid, &mut bufs))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
+    // buffers; the served pass shards into slot ranges. The threshold
+    // keys on the *slot* count for both: the demand bucketing visits
+    // every holder of a query, so a small distinct-query set over a huge
+    // overlay is exactly the case worth sharding.
+    let shard = crate::shard::should_shard(n_slots);
+    let packets = walk(n_queries, shard, |range| {
         let mut bufs = EvalBufs::new(cmax);
-        (0..n_queries)
-            .map(|qid| ctx.eval_query(qid, &mut bufs))
-            .collect()
-    };
+        range.map(|qid| ctx.eval_query(qid, &mut bufs)).collect()
+    });
 
     let mut report = RoutingReport {
         mode,
@@ -593,62 +600,48 @@ fn run_period_core(
         missed_results: 0,
     };
     let mut evals: Vec<Option<QueryEval>> = Vec::with_capacity(if collect { n_queries } else { 0 });
-    let mut served: Vec<BTreeMap<ClusterId, f64>> =
-        vec![BTreeMap::new(); if collect { n_slots } else { 0 }];
-    let mut served_total = vec![0.0; if collect { n_slots } else { 0 }];
-
-    for (qid, packet) in packets.into_iter().enumerate() {
-        let Some(p) = packet else {
-            if collect {
-                evals.push(None); // no live demand: the period never routes it
-            }
-            continue;
-        };
-        net.merge_scaled(&p.ledger, p.total_demand);
-        report.query_events += p.total_demand;
-        report.flood_forwards += non_empty.len() as u64 * p.total_demand;
-        report.forwards += p.forwards * p.total_demand;
-        report.missed_results += p.missed * p.total_demand;
-        report.returned_results += p.total * p.total_demand;
-        if !collect {
-            continue;
+    for packet in packets {
+        if let Some(p) = &packet {
+            net.merge_scaled(&p.ledger, p.total_demand);
+            report.query_events += p.total_demand;
+            report.flood_forwards += non_empty.len() as u64 * p.total_demand;
+            report.forwards += p.forwards * p.total_demand;
+            report.missed_results += p.missed * p.total_demand;
+            report.returned_results += p.eval.total * p.total_demand;
         }
-        let query = &index.queries()[qid];
-        for r in &p.results {
-            // The answering peer records whom it served (Eq. 6
-            // numerator, weighted by query occurrences). Results a peer
-            // finds in its own store are not "sent" and carry no
-            // contribution credit, so the peer's own occurrences leave
-            // its home-cluster bucket. Every credit is a product/sum of
-            // integers well below 2⁵³, and the (result, bucket) fold
-            // order matches the sequential walk exactly, so this
-            // accumulation is bit-identical to crediting requester by
-            // requester.
-            for &(ci, bucket) in &p.demand_buckets {
-                let mut demand = bucket;
-                if overlay.cluster_of(r.peer) == Some(ClusterId::from_index(ci)) {
-                    demand -= workloads[r.peer.index()].count(query);
-                }
-                if demand > 0 {
-                    let credit = demand as f64 * r.count as f64;
-                    *served[r.peer.index()]
-                        .entry(ClusterId::from_index(ci))
-                        .or_insert(0.0) += credit;
-                    served_total[r.peer.index()] += credit;
-                }
-            }
+        if collect {
+            evals.push(packet.map(|p| p.eval));
         }
-        evals.push(Some(QueryEval {
-            per_cluster: p.per_cluster,
-            total: p.total,
-        }));
     }
+
+    let served = if collect {
+        walk(n_slots, shard, |range| {
+            range.map(|slot| ctx.served_by(slot, &evals)).collect()
+        })
+    } else {
+        Vec::new()
+    };
+    let (served, served_total) = served.into_iter().unzip();
 
     PeriodCore {
         evals,
         served,
         served_total,
         report,
+    }
+}
+
+/// Maps `f` over `0..len` — across contiguous ranges of the rayon shim's
+/// pool when `shard`, else as one range. Range results concatenate in
+/// index order, so both forms are byte-identical (see [`crate::shard`]).
+fn walk<T: Send>(len: usize, shard: bool, f: impl Fn(Range<usize>) -> Vec<T> + Sync) -> Vec<T> {
+    if shard {
+        crate::shard::map_ranges(len, f)
+            .into_iter()
+            .flatten()
+            .collect()
+    } else {
+        f(0..len)
     }
 }
 

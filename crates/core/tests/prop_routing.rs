@@ -13,12 +13,28 @@
 //!
 //! Lossy summaries are allowed to miss results, but every missed result
 //! must be accounted: `returned + missed == flood-returned`.
+//!
+//! Both period walks read per-cluster answers from the recall index and
+//! credit served results peer by peer. [`reference_period`] recomputes
+//! a period the way §3.1 states it, walking cluster members one
+//! requester at a time, and the observation walk must equal it bit for
+//! bit: under every routing mode, sequential and sharded, and at 10 000
+//! peers after a churn batch.
+
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
-use recluster_core::{simulate_period, simulate_period_routed, GameConfig, System};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rayon::ThreadPoolBuilder;
+use recluster_core::shard::{set_shard_min_override, should_shard};
+use recluster_core::tracker::QueryObservation;
+use recluster_core::{
+    simulate_period, simulate_period_routed, GameConfig, ObservedStats, RoutingReport, System,
+};
 use recluster_overlay::{
-    ChurnEvent, ClusterSummaries, ContentStore, MsgKind, Overlay, RoutingMode, SimNetwork,
-    SummaryMode, Theta,
+    route_to_clusters, AnnotatedResult, ChurnEvent, ClusterSummaries, ContentStore, MsgKind,
+    Overlay, RoutePlan, RoutingMode, SimNetwork, SummaryMode, Theta,
 };
 use recluster_types::{ClusterId, Document, PeerId, Query, Sym, Workload};
 
@@ -149,6 +165,170 @@ fn assert_summaries_equal_rebuild(sys: &System) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// One observation period as [`reference_period`] computes it.
+struct Reference {
+    /// Per slot: one record per distinct query of a live requester.
+    records: Vec<Vec<QueryObservation>>,
+    /// Per slot: demand-weighted results served, by requesting cluster.
+    served: Vec<BTreeMap<ClusterId, f64>>,
+    served_total: Vec<f64>,
+    report: RoutingReport,
+    net: SimNetwork,
+}
+
+/// One query's answer: the annotated results of its routed clusters,
+/// the ledger that evaluation charged, and the result total flooding
+/// would have returned.
+type Answer = (Vec<AnnotatedResult>, SimNetwork, u64);
+
+/// The observation period as §3.1 states it, one requester at a time:
+/// every live requester, in ascending order, issues every query of its
+/// workload. The query goes to the flood's non-empty clusters, or to
+/// the clusters a [`RoutePlan`] over the system's summaries picks, and
+/// is answered by walking those clusters' members
+/// ([`route_to_clusters`]) on a scratch ledger, which is merged once
+/// per occurrence. Every answering peer other than the requester
+/// credits the requester's cluster with `occurrences × results`.
+///
+/// With `per_query`, each distinct query is evaluated once and its
+/// answer reused for all its requesters. The answer depends only on
+/// the overlay, the store and the query, which the period holds fixed,
+/// so this saves time at scale and changes nothing else.
+///
+/// The credits fold requester by requester, which is not the walk's
+/// order. Bitwise comparison is still sound: every credit and every
+/// partial sum is an integer below 2⁵³, so each f64 addition is exact
+/// in any order.
+fn reference_period(sys: &System, mode: RoutingMode, per_query: bool) -> Reference {
+    let overlay = sys.overlay();
+    let store = sys.store();
+    let non_empty: Vec<ClusterId> = overlay
+        .cluster_ids()
+        .filter(|&c| !overlay.cluster(c).is_empty())
+        .collect();
+    let plan = match mode {
+        RoutingMode::Flood => None,
+        RoutingMode::Routed(precision) => Some(RoutePlan::build(sys.summaries(), precision)),
+    };
+    let answer = |query: &Query| -> Answer {
+        let targets = plan
+            .as_ref()
+            .map_or_else(|| non_empty.clone(), |plan| plan.route(query));
+        let mut ledger = SimNetwork::new();
+        let results = route_to_clusters(overlay, store, query, &targets, &mut ledger);
+        let flooded = route_to_clusters(overlay, store, query, &non_empty, &mut SimNetwork::new());
+        (results, ledger, flooded.iter().map(|r| r.count).sum())
+    };
+    let mut memo: HashMap<Query, Answer> = HashMap::new();
+    let n_slots = overlay.n_slots();
+    let mut out = Reference {
+        records: vec![Vec::new(); n_slots],
+        served: vec![BTreeMap::new(); n_slots],
+        served_total: vec![0.0; n_slots],
+        report: RoutingReport {
+            mode,
+            query_events: 0,
+            forwards: 0,
+            flood_forwards: 0,
+            returned_results: 0,
+            missed_results: 0,
+        },
+        net: SimNetwork::new(),
+    };
+    for requester in overlay.peers() {
+        let home = overlay.cluster_of(requester).expect("peers() are live");
+        let workload = &sys.workloads()[requester.index()];
+        for (query, count) in workload.iter() {
+            let fresh;
+            let (results, ledger, flood_total) = if per_query {
+                &*memo.entry(query.clone()).or_insert_with(|| answer(query))
+            } else {
+                fresh = answer(query);
+                &fresh
+            };
+            out.net.merge_scaled(ledger, count);
+            let total: u64 = results.iter().map(|r| r.count).sum();
+            let report = &mut out.report;
+            report.query_events += count;
+            report.forwards += ledger.messages(MsgKind::QueryForward) * count;
+            report.flood_forwards += non_empty.len() as u64 * count;
+            report.returned_results += total * count;
+            report.missed_results += (flood_total - total) * count;
+            let mut per_cluster: BTreeMap<ClusterId, u64> = BTreeMap::new();
+            for r in results {
+                *per_cluster.entry(r.cluster).or_insert(0) += r.count;
+                if r.peer != requester {
+                    let credit = (count * r.count) as f64;
+                    *out.served[r.peer.index()].entry(home).or_insert(0.0) += credit;
+                    out.served_total[r.peer.index()] += credit;
+                }
+            }
+            out.records[requester.index()].push(QueryObservation {
+                query: query.clone(),
+                weight: workload.frequency(query),
+                per_cluster: per_cluster.into_iter().collect(),
+                total,
+                own: store.result_count(query, requester),
+            });
+        }
+    }
+    out
+}
+
+/// Runs the observation walk on a fresh ledger and holds it to
+/// `reference` bit for bit: the report, the per-kind ledger, every
+/// slot's records, and every served credit and total, read through a
+/// decay-0 [`ObservedStats`]. Every credit names a live requester's
+/// cluster, so the non-empty clusters cover the keys of both sides; the
+/// totals are compared first, so equal shares mean equal credits.
+fn check_walk(sys: &System, mode: RoutingMode, reference: &Reference) -> Result<(), TestCaseError> {
+    let mut net = SimNetwork::new();
+    let (obs, report) = simulate_period_routed(sys, &mut net, mode);
+    prop_assert_eq!(report, reference.report, "report, {:?}", mode);
+    prop_assert_eq!(&net, &reference.net, "ledger, {:?}", mode);
+    let mut stats = ObservedStats::new(0.0);
+    stats.absorb(&obs);
+    for (slot, records) in reference.records.iter().enumerate() {
+        let peer = PeerId::from_index(slot);
+        prop_assert_eq!(
+            obs.of(peer),
+            &records[..],
+            "records of {:?}, {:?}",
+            peer,
+            mode
+        );
+        let total = reference.served_total[slot];
+        prop_assert_eq!(
+            stats.served_total(peer).to_bits(),
+            total.to_bits(),
+            "served total of {:?}, {:?}",
+            peer,
+            mode
+        );
+        for &cid in sys.overlay().non_empty_ids() {
+            let served = reference.served[slot].get(&cid).copied().unwrap_or(0.0);
+            let share = if total == 0.0 { 0.0 } else { served / total };
+            prop_assert_eq!(
+                stats.estimated_contribution(peer, cid).to_bits(),
+                share.to_bits(),
+                "credit of {:?} to {:?}, {:?}",
+                peer,
+                cid,
+                mode
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A 2-thread pool: enough for either sharded pass to split its walk.
+fn two_threads() -> rayon::ThreadPool {
+    ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("shim pool build never fails")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -266,4 +446,146 @@ proptest! {
             }
         }
     }
+
+    /// The observation walk is the §3.1 member walk, bit for bit, under
+    /// flooding, exact and lossy summaries: sequential, and with both
+    /// sharded passes (by qid and by slot) forced on in a 2-thread pool.
+    #[test]
+    fn observation_walk_equals_the_member_walk_reference(
+        docs in proptest::collection::vec(proptest::collection::vec(0u32..N_SYMS, 0..4), N_PEERS),
+        queries in proptest::collection::vec(proptest::collection::vec(0u32..N_SYMS, 0..4), N_PEERS),
+        ops in arb_ops(),
+        k in 1usize..4,
+    ) {
+        let mut sys = fixture(&docs, &queries);
+        let mut churn_net = SimNetwork::new();
+        for op in ops {
+            apply(&mut sys, &mut churn_net, op);
+        }
+        let pool = two_threads();
+        for mode in [
+            RoutingMode::Flood,
+            RoutingMode::Routed(SummaryMode::Exact),
+            RoutingMode::Routed(SummaryMode::TopK(k)),
+        ] {
+            let reference = reference_period(&sys, mode, false);
+            set_shard_min_override(Some(usize::MAX));
+            let sequential = check_walk(&sys, mode, &reference);
+            set_shard_min_override(Some(1));
+            let sharded = pool.install(|| check_walk(&sys, mode, &reference));
+            set_shard_min_override(None);
+            sequential?;
+            sharded?;
+        }
+    }
+}
+
+/// Interest categories of the at-scale testbed (one cluster each).
+const SCALE_CATEGORIES: usize = 10;
+/// Words per category vocabulary.
+const SCALE_VOCAB: usize = 40;
+
+/// A word of `category`, skewed towards low ranks (the lower of two
+/// uniform draws), so a category's first words are its popular ones.
+fn scale_word(rng: &mut StdRng, category: usize) -> Sym {
+    let rank = rng
+        .gen_range(0..SCALE_VOCAB)
+        .min(rng.gen_range(0..SCALE_VOCAB));
+    Sym((category * SCALE_VOCAB + rank) as u32)
+}
+
+/// 2–3 two-word documents on `category`, a fifth of them borrowing a
+/// word from the next category.
+fn scale_docs(rng: &mut StdRng, category: usize) -> Vec<Document> {
+    (0..rng.gen_range(2..=3))
+        .map(|_| {
+            let other = if rng.gen_bool(0.2) {
+                (category + 1) % SCALE_CATEGORIES
+            } else {
+                category
+            };
+            Document::new(vec![scale_word(rng, category), scale_word(rng, other)])
+        })
+        .collect()
+}
+
+/// 1–3 keyword queries (about 2), half on the focus category two
+/// along, so answers and served credit cross clusters.
+fn scale_workload(rng: &mut StdRng, category: usize) -> Workload {
+    let mut w = Workload::new();
+    for _ in 0..rng.gen_range(1..=3) {
+        let topic = if rng.gen_bool(0.5) {
+            (category + 2) % SCALE_CATEGORIES
+        } else {
+            category
+        };
+        w.add(Query::keyword(scale_word(rng, topic)), rng.gen_range(1..=2));
+    }
+    w
+}
+
+/// A synthetic testbed shaped like the simulator's 10 000-peer `large`
+/// configuration: `n_peers` peers in 10 category clusters, each with
+/// 2–3 documents and about 2 keyword queries over a 40-word vocabulary
+/// per category.
+fn scale_system(n_peers: usize, rng: &mut StdRng) -> System {
+    let mut overlay = Overlay::unassigned(n_peers);
+    let mut store = ContentStore::new(n_peers);
+    let mut workloads = Vec::with_capacity(n_peers);
+    for i in 0..n_peers {
+        let category = i % SCALE_CATEGORIES;
+        let peer = PeerId::from_index(i);
+        overlay.assign(peer, ClusterId::from_index(category));
+        for doc in scale_docs(rng, category) {
+            store.add(peer, doc);
+        }
+        workloads.push(scale_workload(rng, category));
+    }
+    System::new(overlay, store, workloads, GameConfig::default())
+}
+
+/// The reference holds at scale on the production path. At 10 000 peers
+/// the default shard threshold engages both sharded passes with no
+/// override; a churn batch first leaves departed slots and joiners with
+/// fresh content behind. Release only (CI runs it there): the reference
+/// walks every requester's results.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: 10 000-peer oracle")]
+fn observation_walk_equals_the_reference_at_scale() {
+    let mut rng = StdRng::seed_from_u64(0x5ca1e);
+    let mut sys = scale_system(10_000, &mut rng);
+    // The churn batch, as the simulator's `maintenance` module applies
+    // it: leavers drop their workload, joiners arrive with content and
+    // a workload of their own.
+    let mut net = SimNetwork::new();
+    for _ in 0..200 {
+        let peer = PeerId::from_index(rng.gen_range(0..sys.overlay().n_slots()));
+        if sys
+            .apply_churn_event(&mut net, ChurnEvent::Leave { peer })
+            .is_some()
+        {
+            sys.set_workload(peer, Workload::new());
+        }
+        let category = rng.gen_range(0..SCALE_CATEGORIES);
+        let docs = scale_docs(&mut rng, category);
+        let cluster = ClusterId::from_index(category);
+        let joined = sys
+            .apply_churn_event(&mut net, ChurnEvent::Join { cluster, docs })
+            .expect("a join into a live cluster applies");
+        sys.set_workload(joined.peer(), scale_workload(&mut rng, category));
+    }
+    let pool = two_threads();
+    pool.install(|| {
+        assert!(
+            should_shard(sys.overlay().n_slots()),
+            "default threshold must shard"
+        );
+        for mode in [
+            RoutingMode::Routed(SummaryMode::Exact),
+            RoutingMode::Routed(SummaryMode::TopK(20)),
+        ] {
+            let reference = reference_period(&sys, mode, true);
+            check_walk(&sys, mode, &reference).unwrap();
+        }
+    });
 }
