@@ -2,10 +2,11 @@
 //! cost-model shape, the `ε` stop threshold, the hybrid strategy's `λ`,
 //! and the §3.2 anti-cycle lock rule.
 
-use recluster_bench::{banner, seed_from_env, small_from_env};
+use recluster_bench::{banner, DEFAULT_SEED};
 use recluster_sim::ablation::{
     run_epsilon_sweep, run_hybrid_sweep, run_lock_ablation, run_theta_ablation, AblationRow,
 };
+use recluster_sim::knobs::Knobs;
 use recluster_sim::report::{f3, render_table, rounds_cell};
 use recluster_sim::scenario::ExperimentConfig;
 
@@ -36,15 +37,15 @@ fn print_rows(title: &str, rows: &[AblationRow]) {
 }
 
 fn main() {
-    let seed = seed_from_env();
-    let small = small_from_env();
+    let knobs = Knobs::from_env();
+    let seed = knobs.seed.unwrap_or(DEFAULT_SEED);
     banner(
         "Ablations",
         "design-choice sensitivity (our extension)",
         seed,
-        small,
+        &knobs,
     );
-    let cfg = if small {
+    let cfg = if knobs.small {
         ExperimentConfig::small(seed)
     } else {
         ExperimentConfig::paper(seed)

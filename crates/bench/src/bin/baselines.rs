@@ -5,21 +5,22 @@
 //! from scratch … incurs large communication costs and requires global
 //! knowledge").
 
-use recluster_bench::{banner, seed_from_env, small_from_env};
+use recluster_bench::{banner, DEFAULT_SEED};
 use recluster_sim::baseline_cmp::run_baseline_comparison;
+use recluster_sim::knobs::Knobs;
 use recluster_sim::report::{f3, render_table};
 use recluster_sim::scenario::ExperimentConfig;
 
 fn main() {
-    let seed = seed_from_env();
-    let small = small_from_env();
+    let knobs = Knobs::from_env();
+    let seed = knobs.seed.unwrap_or(DEFAULT_SEED);
     banner(
         "Baselines",
         "the §1 motivation (our extension)",
         seed,
-        small,
+        &knobs,
     );
-    let cfg = if small {
+    let cfg = if knobs.small {
         ExperimentConfig::small(seed)
     } else {
         ExperimentConfig::paper(seed)

@@ -4,25 +4,27 @@
 //! charges each period's query workload under the routing mode selected
 //! by `RECLUSTER_ROUTING` (`flood` | `routed` | `lossy:<k>`).
 
-use recluster_bench::{banner, routing_from_env, seed_from_env, small_from_env};
+use recluster_bench::{banner, DEFAULT_SEED};
 use recluster_sim::churn::{run_churn, ChurnConfig};
+use recluster_sim::knobs::Knobs;
 use recluster_sim::report::{f3, render_table};
 use recluster_sim::runner::StrategyKind;
 use recluster_sim::scenario::ExperimentConfig;
+use recluster_sim::RoutingMode;
 
 fn main() {
-    let seed = seed_from_env();
-    let small = small_from_env();
-    let routing = routing_from_env();
+    let knobs = Knobs::from_env();
+    let seed = knobs.seed.unwrap_or(DEFAULT_SEED);
+    let routing = knobs.routing.unwrap_or(RoutingMode::Flood);
     banner(
         "Churn",
         "overlay maintenance under churn (our extension)",
         seed,
-        small,
+        &knobs,
     );
     println!("routing={routing} (set RECLUSTER_ROUTING=flood|routed|lossy:<k> to vary)");
     println!();
-    let cfg = if small {
+    let cfg = if knobs.small {
         ExperimentConfig::small(seed)
     } else {
         ExperimentConfig::paper(seed)
@@ -30,8 +32,8 @@ fn main() {
 
     let base = ChurnConfig {
         periods: 12,
-        leaves_per_period: if small { 1 } else { 4 },
-        joins_per_period: if small { 1 } else { 4 },
+        leaves_per_period: if knobs.small { 1 } else { 4 },
+        joins_per_period: if knobs.small { 1 } else { 4 },
         maintenance: Some(StrategyKind::Selfish),
         max_rounds: 100,
         routing,

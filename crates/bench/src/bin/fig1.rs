@@ -2,22 +2,23 @@
 //! Cost through progressing rounds" (§4.1) — scenario 1 from singleton
 //! clusters, selfish vs. altruistic.
 
-use recluster_bench::{banner, parallelism_from_env, seed_from_env, small_from_env};
+use recluster_bench::{banner, DEFAULT_SEED};
 use recluster_sim::fig1::run_fig1_with;
+use recluster_sim::knobs::Knobs;
 use recluster_sim::report::{render_series, render_table};
 use recluster_sim::scenario::ExperimentConfig;
 
 fn main() {
-    let seed = seed_from_env();
-    let small = small_from_env();
-    banner("Figure 1", "Koloniari & Pitoura 2008, Fig. 1", seed, small);
-    let cfg = if small {
+    let knobs = Knobs::from_env();
+    let seed = knobs.seed.unwrap_or(DEFAULT_SEED);
+    banner("Figure 1", "Koloniari & Pitoura 2008, Fig. 1", seed, &knobs);
+    let cfg = if knobs.small {
         ExperimentConfig::small(seed)
     } else {
         ExperimentConfig::paper(seed)
     };
 
-    let series = run_fig1_with(&cfg, 300, parallelism_from_env());
+    let series = run_fig1_with(&cfg, 300, knobs.parallelism());
     let max_len = series.iter().map(|s| s.scost.len()).max().unwrap_or(0);
 
     let headers = [

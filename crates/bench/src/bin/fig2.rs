@@ -3,16 +3,17 @@
 //! updates against the converged scenario-1 overlay, cluster count held
 //! fixed, ε = 0.001.
 
-use recluster_bench::{banner, seed_from_env, small_from_env};
+use recluster_bench::{banner, DEFAULT_SEED};
 use recluster_sim::fig23::{run_figure, standard_fractions, UpdateMode};
+use recluster_sim::knobs::Knobs;
 use recluster_sim::report::render_table;
 use recluster_sim::scenario::ExperimentConfig;
 
 fn main() {
-    let seed = seed_from_env();
-    let small = small_from_env();
-    banner("Figure 2", "Koloniari & Pitoura 2008, Fig. 2", seed, small);
-    let cfg = if small {
+    let knobs = Knobs::from_env();
+    let seed = knobs.seed.unwrap_or(DEFAULT_SEED);
+    banner("Figure 2", "Koloniari & Pitoura 2008, Fig. 2", seed, &knobs);
+    let cfg = if knobs.small {
         ExperimentConfig::small(seed)
     } else {
         ExperimentConfig::paper(seed)

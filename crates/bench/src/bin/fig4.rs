@@ -2,16 +2,17 @@
 //! cost of one selfish peer whose workload gradually shifts to another
 //! cluster's data, for α ∈ {0, 1, 2}.
 
-use recluster_bench::{banner, parallelism_from_env, seed_from_env, small_from_env};
+use recluster_bench::{banner, DEFAULT_SEED};
 use recluster_sim::fig4::run_fig4_with;
+use recluster_sim::knobs::Knobs;
 use recluster_sim::report::render_table;
 use recluster_sim::scenario::ExperimentConfig;
 
 fn main() {
-    let seed = seed_from_env();
-    let small = small_from_env();
-    banner("Figure 4", "Koloniari & Pitoura 2008, Fig. 4", seed, small);
-    let cfg = if small {
+    let knobs = Knobs::from_env();
+    let seed = knobs.seed.unwrap_or(DEFAULT_SEED);
+    banner("Figure 4", "Koloniari & Pitoura 2008, Fig. 4", seed, &knobs);
+    let cfg = if knobs.small {
         ExperimentConfig::small(seed)
     } else {
         ExperimentConfig::paper(seed)
@@ -19,7 +20,7 @@ fn main() {
 
     let alphas = [0.0, 1.0, 2.0];
     let fractions: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
-    let curves = run_fig4_with(&cfg, &alphas, &fractions, parallelism_from_env());
+    let curves = run_fig4_with(&cfg, &alphas, &fractions, knobs.parallelism());
 
     let headers = ["fraction", "cost(α=0)", "cost(α=1)", "cost(α=2)"];
     let rows: Vec<Vec<String>> = fractions

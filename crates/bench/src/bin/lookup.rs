@@ -1,21 +1,22 @@
 //! Lookup-cost sweep (the paper's §6 open issue): expected query cost
 //! as a function of the number of clusters and their sizes.
 
-use recluster_bench::{banner, seed_from_env, small_from_env};
+use recluster_bench::{banner, DEFAULT_SEED};
+use recluster_sim::knobs::Knobs;
 use recluster_sim::lookup::sweep_cluster_counts;
 use recluster_sim::report::{f3, render_table};
 use recluster_sim::scenario::ExperimentConfig;
 
 fn main() {
-    let seed = seed_from_env();
-    let small = small_from_env();
+    let knobs = Knobs::from_env();
+    let seed = knobs.seed.unwrap_or(DEFAULT_SEED);
     banner(
         "Lookup cost",
         "the §6 open issue (our extension)",
         seed,
-        small,
+        &knobs,
     );
-    let cfg = if small {
+    let cfg = if knobs.small {
         ExperimentConfig::small(seed)
     } else {
         ExperimentConfig::paper(seed)

@@ -3,21 +3,22 @@
 //! normalized social/workload costs for 3 scenarios × 4 initial
 //! configurations × 2 strategies.
 
-use recluster_bench::{banner, parallelism_from_env, seed_from_env, small_from_env};
+use recluster_bench::{banner, DEFAULT_SEED};
+use recluster_sim::knobs::Knobs;
 use recluster_sim::report::{f3, render_table, rounds_cell};
 use recluster_sim::table1::{run_table1_with, Table1Config};
 
 fn main() {
-    let seed = seed_from_env();
-    let small = small_from_env();
-    banner("Table 1", "Koloniari & Pitoura 2008, Table 1", seed, small);
-    let cfg = if small {
+    let knobs = Knobs::from_env();
+    let seed = knobs.seed.unwrap_or(DEFAULT_SEED);
+    banner("Table 1", "Koloniari & Pitoura 2008, Table 1", seed, &knobs);
+    let cfg = if knobs.small {
         Table1Config::small(seed)
     } else {
         Table1Config::paper(seed)
     };
 
-    let rows = run_table1_with(&cfg, parallelism_from_env());
+    let rows = run_table1_with(&cfg, knobs.parallelism());
     let headers = [
         "scenario",
         "init",

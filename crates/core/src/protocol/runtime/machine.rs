@@ -35,10 +35,10 @@
 //! Every representative of a round shares one [`Roster`]: the
 //! snapshot's `(cluster, representative)` pairs in ascending cluster
 //! order plus a table from cluster id to position. Broadcasts walk it,
-//! skipping the sender's own position, and the phase-2 collector and
-//! the heard summaries are indexed by roster position (member reports
-//! by position in the member list), so admitting a frame is one lookup
-//! whatever the number of clusters.
+//! skipping the sender's own position, and the phase-2 collector is
+//! indexed by roster position (member reports by position in the
+//! member list), so admitting a frame is one lookup whatever the number
+//! of clusters.
 //!
 //! [`ProtocolEngine`]: crate::protocol::ProtocolEngine
 
@@ -285,9 +285,6 @@ struct RepState {
     /// Own-cluster size, maintained from delivered commits — the value
     /// broadcast in [`Message::SummaryUpdate`].
     own_size: u32,
-    /// Latest summary heard per cluster, by roster position (from
-    /// `SummaryUpdate` frames).
-    summaries: Vec<Option<u32>>,
 }
 
 #[derive(Debug)]
@@ -357,7 +354,6 @@ impl PeerStateMachine {
             role: Role::Representative(Box::new(RepState {
                 reports_heard: Heard::new(members.len()),
                 clusters_heard: Heard::new(roster.len()),
-                summaries: vec![None; roster.len()],
                 members,
                 roster,
                 own,
@@ -403,23 +399,6 @@ impl PeerStateMachine {
                     None
                 }
             }
-        }
-    }
-
-    /// Cluster sizes this peer has heard via `SummaryUpdate`, freshest
-    /// value per cluster, ascending by cluster (representatives only;
-    /// empty for members). Updates for clusters off the roster are not
-    /// kept.
-    pub fn heard_summaries(&self) -> Vec<(ClusterId, u32)> {
-        match &self.role {
-            Role::Member => Vec::new(),
-            Role::Representative(rep) => rep
-                .roster
-                .reps()
-                .iter()
-                .zip(&rep.summaries)
-                .filter_map(|(&(c, _), &size)| Some((c, size?)))
-                .collect(),
         }
     }
 
@@ -580,14 +559,8 @@ impl PeerStateMachine {
                 rep.broadcast(peer, update, MsgKind::SummaryUpdate, out);
                 true
             }
-            Message::SummaryUpdate { cluster, size } => {
-                if let Role::Representative(rep) = &mut self.role {
-                    if let Some(slot) = rep.roster.position(cluster) {
-                        rep.summaries[slot] = Some(size);
-                    }
-                }
-                true
-            }
+            // No decision reads another cluster's size yet.
+            Message::SummaryUpdate { .. } => true,
         }
     }
 }
@@ -914,7 +887,7 @@ mod tests {
     /// The phase-2 counterpart: a forward or heartbeat from a cluster
     /// off the roster (inside the position table or past it) and a
     /// duplicate forward are consumed without advancing phase 2, and
-    /// heard summaries come back ascending by cluster.
+    /// summary updates are consumed after it fired.
     #[test]
     fn unknown_and_duplicate_forwards_do_not_advance_phase_two() {
         let mut out = Outbox::new();
@@ -984,10 +957,6 @@ mod tests {
                 &mut out
             ));
         }
-        assert_eq!(
-            rep.heard_summaries(),
-            vec![(ClusterId(2), 7), (ClusterId(4), 3)]
-        );
     }
 
     #[test]
@@ -1154,7 +1123,7 @@ mod tests {
                 }
             );
         }
-        // And the mirror update is recorded when heard.
+        // And the mirror update is consumed when heard.
         assert!(rep.receive(
             &Message::SummaryUpdate {
                 cluster: ClusterId(3),
@@ -1162,6 +1131,5 @@ mod tests {
             },
             &mut out,
         ));
-        assert_eq!(rep.heard_summaries(), vec![(ClusterId(3), 4)]);
     }
 }

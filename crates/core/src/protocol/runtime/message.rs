@@ -110,9 +110,9 @@ pub enum Message {
         /// The nonce that blinded the commitment.
         nonce: u64,
     },
-    /// Post-commit broadcast: `cluster` now has `size` members. Keeps
-    /// the other representatives' summaries current; consumed by every
-    /// state machine in any state.
+    /// Post-commit broadcast: `cluster` now has `size` members. Sent,
+    /// charged and consumed by every state machine in any state; no
+    /// decision reads it yet.
     SummaryUpdate {
         /// The cluster whose membership changed.
         cluster: ClusterId,

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use recluster_core::{GameConfig, System};
-use recluster_overlay::{ChurnEvent, ContentStore, Overlay, SimNetwork, SummaryBatch, Theta};
+use recluster_overlay::{ChurnEvent, ContentStore, Overlay, SimNetwork, Theta};
 use recluster_types::{ClusterId, Document, PeerId, Query, Sym, Workload};
 
 pub const N_PEERS: usize = 10;
@@ -166,82 +166,5 @@ pub fn apply(sys: &mut System, net: &mut SimNetwork, op: Op) {
             }
             sys.set_workload(peer, w);
         }
-    }
-}
-
-/// Interprets an op exactly like [`apply`] while *also* recording its
-/// summary delta into `batch` — the deferred-publication path the
-/// traffic engine rides. The `System`'s own eagerly maintained
-/// summaries stay the per-event oracle a later flush must land on
-/// bitwise (`prop_batch.rs` holds that contract over this whole op
-/// universe).
-#[allow(dead_code)] // each test binary compiles its own `common`; only prop_batch uses this.
-pub fn apply_batched(sys: &mut System, net: &mut SimNetwork, batch: &mut SummaryBatch, op: Op) {
-    match &op {
-        Op::Move { peer, to } => {
-            let peer = PeerId(*peer);
-            let to = ClusterId(*to % sys.overlay().cmax() as u32);
-            let from = sys.overlay().cluster_of(peer);
-            let docs = sys.store().docs(peer).to_vec();
-            apply(sys, net, op.clone());
-            if let Some(from) = from {
-                batch.record_move(&docs, from, to);
-            }
-        }
-        Op::Leave { peer } => {
-            let peer = PeerId(*peer);
-            let from = sys.overlay().cluster_of(peer);
-            // A soft leave keeps the docs in the store but they vanish
-            // from the cluster's summary — same delta as a churn leave.
-            let docs = sys.store().docs(peer).to_vec();
-            apply(sys, net, op.clone());
-            if let Some(from) = from {
-                batch.record_leave(&docs, from);
-            }
-        }
-        Op::Join { peer, to } => {
-            let peer = PeerId(*peer);
-            let to = ClusterId(*to % sys.overlay().cmax() as u32);
-            let was_unassigned = sys.overlay().cluster_of(peer).is_none();
-            apply(sys, net, op.clone());
-            if was_unassigned {
-                batch.record_join(sys.store().docs(peer), to);
-            }
-        }
-        Op::ChurnLeave { peer } => {
-            let peer = PeerId(*peer % sys.overlay().n_slots() as u32);
-            let from = sys.overlay().cluster_of(peer);
-            // The churn hook drops the leaver's docs from the store, so
-            // snapshot them first — exactly what the traffic engine does.
-            let docs = sys.store().docs(peer).to_vec();
-            apply(sys, net, op.clone());
-            if let Some(from) = from {
-                batch.record_leave(&docs, from);
-            }
-        }
-        Op::ChurnJoin { .. } => {
-            // The joiner occupies a fresh slot; detect it by growth.
-            let slots_before = sys.overlay().n_slots();
-            apply(sys, net, op.clone());
-            if sys.overlay().n_slots() > slots_before {
-                let peer = PeerId::from_index(slots_before);
-                let to = sys
-                    .overlay()
-                    .cluster_of(peer)
-                    .expect("a churn joiner is always assigned");
-                batch.record_join(sys.store().docs(peer), to);
-            }
-        }
-        Op::SetContent { peer, .. } => {
-            let peer = PeerId(*peer % sys.overlay().n_slots() as u32);
-            let cid = sys.overlay().cluster_of(peer);
-            let old = sys.store().docs(peer).to_vec();
-            apply(sys, net, op.clone());
-            if let Some(cid) = cid {
-                batch.record_content_update(cid, &old, sys.store().docs(peer));
-            }
-        }
-        // Workloads never touch content summaries.
-        Op::SetWorkload { .. } => apply(sys, net, op.clone()),
     }
 }

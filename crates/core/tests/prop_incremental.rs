@@ -9,7 +9,8 @@
 //!   against a walk of the live cluster's members, and
 //! * the per-peer [`CostCache`](recluster_core::CostCache) (recall and
 //!   `WCost` terms, live demand) against a wholesale
-//!   [`System::rebuild_cost_cache`].
+//!   [`System::rebuild_cost_cache`], and
+//! * the routing [`ClusterSummaries`] against [`ClusterSummaries::build`].
 //!
 //! This is the contract that lets the protocol and the churn driver
 //! skip every O(queries × peers) rebuild: content updates and churn are
@@ -20,7 +21,7 @@ mod common;
 use common::{apply, arb_ops, arb_seed_syms, fixture, N_PEERS};
 use proptest::prelude::*;
 use recluster_core::{pcost, RecallIndex, System};
-use recluster_overlay::SimNetwork;
+use recluster_overlay::{ClusterSummaries, SimNetwork};
 use recluster_types::{ClusterId, PeerId};
 
 /// Asserts the delta-maintained index state equals the content-aware
@@ -157,6 +158,11 @@ proptest! {
             assert_index_equals_rebuild(&sys)?;
             assert_cells_equal_member_walk(&sys)?;
             assert_cache_equals_rebuild(&sys)?;
+            prop_assert_eq!(
+                sys.summaries(),
+                &ClusterSummaries::build(sys.overlay(), sys.store()),
+                "summaries drifted from rebuild"
+            );
         }
         // Cluster sizes agree with a scan of the assignment (the O(1)
         // live-count and the per-cluster member lists never drift).

@@ -41,6 +41,6 @@ pub use network::{MsgKind, SimNetwork};
 pub use overlay::{Cluster, Overlay};
 pub use routing::{
     charge_cluster_answer, cluster_recall, flood_query, route_to_clusters, AnnotatedResult,
-    ClusterSummaries, FlushStats, RoutePlan, RoutingMode, SummaryBatch, SummaryMode,
+    ClusterSummaries, RoutePlan, RoutingMode, SummaryMode,
 };
 pub use theta::Theta;

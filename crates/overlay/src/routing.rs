@@ -20,18 +20,16 @@
 //! frequent attributes, trading false negatives (missed results) for
 //! smaller summaries — the precision-vs-traffic axis.
 //!
-//! # Batched summary publication
+//! # Publishing what changed
 //!
 //! The per-event hooks keep a *local* [`ClusterSummaries`] exact, but a
 //! live system does not re-broadcast its summaries after every single
-//! membership event: deltas coalesce in a [`SummaryBatch`] and are
-//! published in one [`SummaryBatch::flush_into`] per maintenance round.
-//! Because every summarized quantity is an integer count, the net-delta
-//! flush is **bitwise identical** to replaying the events one by one
-//! (property-tested against the [`ClusterSummaries::build`] oracle in
-//! `recluster-core`'s `prop_batch` suite), while opposing events — a
-//! peer that joins and leaves between two flushes, a document that
-//! moves out and back — cancel before any message is paid for.
+//! membership event. It publishes once per maintenance round, and only
+//! the clusters whose summary differs from the last published copy
+//! ([`ClusterSummaries::changed_since`]). Every summarized quantity is
+//! an integer count, so opposing events between two publications — a
+//! peer that joins and leaves, a document that moves out and back —
+//! leave no difference and cost no message.
 //!
 //! # Examples
 //!
@@ -322,6 +320,27 @@ impl ClusterSummaries {
         self.add_docs(cid, new);
     }
 
+    /// The clusters whose term counts or document total differ from
+    /// `earlier`'s, ascending — what a publication of `self` over
+    /// `earlier` has to re-send. A slot past either side's width
+    /// compares as empty.
+    pub fn changed_since(&self, earlier: &ClusterSummaries) -> Vec<ClusterId> {
+        let width = self.n_clusters().max(earlier.n_clusters());
+        (0..width)
+            .filter(|&c| self.slot(c) != earlier.slot(c))
+            .map(ClusterId::from_index)
+            .collect()
+    }
+
+    /// Slot `c`'s terms (`None` when empty) and document total, empty
+    /// past the width.
+    fn slot(&self, c: usize) -> (Option<&BTreeMap<Sym, u64>>, u64) {
+        (
+            self.terms.get(c).filter(|t| !t.is_empty()),
+            self.docs.get(c).copied().unwrap_or(0),
+        )
+    }
+
     /// Exact membership test: could cluster `cid` hold results for
     /// `query`? `true` iff the cluster has documents and every query
     /// attribute appears in its summary. No false negatives; false
@@ -348,204 +367,6 @@ impl ClusterSummaries {
         let mut kept: Vec<Sym> = ranked.into_iter().map(|(s, _)| s).collect();
         kept.sort_unstable();
         kept
-    }
-}
-
-/// What one [`SummaryBatch::flush_into`] did: how many recorded events
-/// it coalesced and, per touched cluster, how many summary terms
-/// actually changed — the payload a batched `SummaryUpdate` broadcast
-/// would carry.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FlushStats {
-    /// Events recorded into the batch since the previous flush.
-    pub events: u64,
-    /// `(cluster, changed terms)` for every cluster with a net delta,
-    /// ascending by cluster id. Clusters whose events cancelled out
-    /// entirely are absent — batching made them free.
-    pub clusters: Vec<(ClusterId, usize)>,
-}
-
-impl FlushStats {
-    /// Clusters that needed a summary re-publication.
-    pub fn clusters_touched(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Total summary terms re-published across all touched clusters.
-    pub fn terms_changed(&self) -> usize {
-        self.clusters.iter().map(|&(_, t)| t).sum()
-    }
-}
-
-/// Pending summary deltas, coalesced between publications.
-///
-/// The eager hooks on [`ClusterSummaries`] keep a node's *local* view
-/// exact after every event; a `SummaryBatch` is the outbox in front of
-/// the network: each membership/content event is *recorded* as a signed
-/// per-cluster delta, net-summed against everything already pending,
-/// and [`SummaryBatch::flush_into`] applies the whole batch to the
-/// published summaries at the maintenance cadence. All counts are
-/// integers, so `flush_into` is bitwise identical to replaying the
-/// events individually — the same delta-vs-oracle invariant the eager
-/// hooks satisfy, one level up.
-///
-/// # Examples
-///
-/// Opposing events cancel: a peer that joins and leaves between two
-/// flushes costs nothing to publish.
-///
-/// ```
-/// use recluster_overlay::{ClusterSummaries, SummaryBatch};
-/// use recluster_types::{ClusterId, Document, Sym};
-///
-/// let mut published = ClusterSummaries::new(2);
-/// let mut batch = SummaryBatch::new();
-/// let docs = vec![Document::new(vec![Sym(1), Sym(2)])];
-///
-/// batch.record_join(&docs, ClusterId(0));
-/// batch.record_leave(&docs, ClusterId(0));
-/// assert!(batch.is_empty(), "net delta cancelled out");
-///
-/// let stats = batch.flush_into(&mut published);
-/// assert_eq!(stats.events, 2);
-/// assert_eq!(stats.clusters_touched(), 0, "nothing to re-publish");
-/// assert_eq!(published, ClusterSummaries::new(2));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SummaryBatch {
-    /// Net signed term deltas per touched cluster slot (sparse — churn
-    /// between two flushes touches few clusters).
-    terms: BTreeMap<usize, BTreeMap<Sym, i64>>,
-    /// Net signed member-document deltas per touched cluster slot.
-    docs: BTreeMap<usize, i64>,
-    /// Events recorded since the last flush.
-    events: u64,
-}
-
-impl SummaryBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether every recorded delta cancelled out (a flush now would
-    /// change nothing). `true` for a freshly flushed batch.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty() && self.docs.is_empty()
-    }
-
-    /// Events recorded since the last flush.
-    pub fn pending_events(&self) -> u64 {
-        self.events
-    }
-
-    /// Clusters with a nonzero net delta, ascending.
-    pub fn touched_clusters(&self) -> Vec<ClusterId> {
-        let mut out: Vec<usize> = self.terms.keys().chain(self.docs.keys()).copied().collect();
-        out.sort_unstable();
-        out.dedup();
-        out.into_iter().map(ClusterId::from_index).collect()
-    }
-
-    fn add_docs(&mut self, cid: ClusterId, docs: &[Document], sign: i64) {
-        let slot = self.terms.entry(cid.index()).or_default();
-        for doc in docs {
-            for &a in doc.attrs() {
-                let e = slot.entry(a).or_insert(0);
-                *e += sign;
-                if *e == 0 {
-                    slot.remove(&a);
-                }
-            }
-        }
-        if slot.is_empty() {
-            self.terms.remove(&cid.index());
-        }
-        let d = self.docs.entry(cid.index()).or_insert(0);
-        *d += sign * docs.len() as i64;
-        if *d == 0 {
-            self.docs.remove(&cid.index());
-        }
-    }
-
-    /// Records: a peer carrying `docs` moved `from` → `to`.
-    pub fn record_move(&mut self, docs: &[Document], from: ClusterId, to: ClusterId) {
-        if from == to {
-            return;
-        }
-        self.events += 1;
-        self.add_docs(from, docs, -1);
-        self.add_docs(to, docs, 1);
-    }
-
-    /// Records: a peer carrying `docs` joined cluster `to`.
-    pub fn record_join(&mut self, docs: &[Document], to: ClusterId) {
-        self.events += 1;
-        self.add_docs(to, docs, 1);
-    }
-
-    /// Records: a peer carrying `docs` left cluster `from`.
-    pub fn record_leave(&mut self, docs: &[Document], from: ClusterId) {
-        self.events += 1;
-        self.add_docs(from, docs, -1);
-    }
-
-    /// Records: a member of cluster `cid` replaced `old` documents with
-    /// `new`.
-    pub fn record_content_update(&mut self, cid: ClusterId, old: &[Document], new: &[Document]) {
-        self.events += 1;
-        self.add_docs(cid, old, -1);
-        self.add_docs(cid, new, 1);
-    }
-
-    /// Applies every pending net delta to `target` and resets the batch.
-    ///
-    /// Bitwise identical to applying the recorded events one by one
-    /// through the eager [`ClusterSummaries`] hooks: all counts are
-    /// integers, so `old + Σdeltas` equals the replayed sequence
-    /// exactly.
-    ///
-    /// # Panics
-    /// Panics if a net delta would drive a count negative — the batch
-    /// recorded events inconsistent with `target`'s state at the last
-    /// flush.
-    pub fn flush_into(&mut self, target: &mut ClusterSummaries) -> FlushStats {
-        if let Some(&max_slot) = self.terms.keys().chain(self.docs.keys()).max() {
-            target.ensure_cmax(max_slot + 1);
-        }
-        let mut clusters: BTreeMap<usize, usize> = BTreeMap::new();
-        for (&slot, deltas) in &self.terms {
-            let terms = &mut target.terms[slot];
-            for (&sym, &d) in deltas {
-                let old = terms.get(&sym).copied().unwrap_or(0) as i64;
-                let new = old + d;
-                assert!(new >= 0, "summary underflow: cluster {slot} term {sym:?}");
-                if new == 0 {
-                    terms.remove(&sym);
-                } else {
-                    terms.insert(sym, new as u64);
-                }
-            }
-            *clusters.entry(slot).or_insert(0) += deltas.len();
-        }
-        for (&slot, &d) in &self.docs {
-            let old = target.docs[slot] as i64;
-            let new = old + d;
-            assert!(new >= 0, "summary doc-count underflow: cluster {slot}");
-            target.docs[slot] = new as u64;
-            clusters.entry(slot).or_insert(0);
-        }
-        let stats = FlushStats {
-            events: self.events,
-            clusters: clusters
-                .into_iter()
-                .map(|(slot, terms)| (ClusterId::from_index(slot), terms))
-                .collect(),
-        };
-        self.terms.clear();
-        self.docs.clear();
-        self.events = 0;
-        stats
     }
 }
 
@@ -899,95 +720,38 @@ mod tests {
     }
 
     #[test]
-    fn batched_flush_equals_per_event_replay() {
-        let (mut ov, mut store) = fixture();
-        let mut eager = ClusterSummaries::build(&ov, &store);
-        let mut published = eager.clone();
-        let mut batch = SummaryBatch::new();
-
-        // Move p1 to c2, replace p2's content, then p0 leaves.
-        let docs: Vec<Document> = store.docs(PeerId(1)).to_vec();
-        let from = ov.move_peer(PeerId(1), ClusterId(2));
-        eager.apply_move(&docs, from, ClusterId(2));
-        batch.record_move(&docs, from, ClusterId(2));
-
-        let old: Vec<Document> = store.docs(PeerId(2)).to_vec();
-        let new = vec![Document::new(vec![Sym(9)])];
-        store.replace(PeerId(2), new.clone());
-        eager.apply_content_update(ClusterId(2), &old, &new);
-        batch.record_content_update(ClusterId(2), &old, &new);
-
-        let docs: Vec<Document> = store.docs(PeerId(0)).to_vec();
-        let from = ov.unassign(PeerId(0)).unwrap();
-        eager.apply_leave(&docs, from);
-        batch.record_leave(&docs, from);
-
-        assert_eq!(batch.pending_events(), 3);
-        assert_eq!(
-            batch.touched_clusters(),
-            vec![ClusterId(0), ClusterId(2)],
-            "all three events touched only c0 and c2"
-        );
-        let stats = batch.flush_into(&mut published);
-        assert_eq!(published, eager, "batched flush == per-event replay");
-        assert_eq!(published, ClusterSummaries::build(&ov, &store));
-        assert_eq!(stats.events, 3);
-        assert!(batch.is_empty());
-        assert_eq!(batch.pending_events(), 0);
-
-        // A second flush with nothing recorded is a no-op.
-        let stats = batch.flush_into(&mut published);
-        assert_eq!(stats.events, 0);
-        assert_eq!(stats.clusters_touched(), 0);
-        assert_eq!(published, eager);
-    }
-
-    #[test]
-    fn batch_coalesces_opposing_moves_to_nothing() {
+    fn changed_since_reports_exactly_the_clusters_that_differ() {
         let (ov, store) = fixture();
-        let mut published = ClusterSummaries::build(&ov, &store);
-        let before = published.clone();
-        let mut batch = SummaryBatch::new();
+        let published = ClusterSummaries::build(&ov, &store);
+        let mut live = published.clone();
+
+        // p0 moves out of c0 and back; p1 swaps its documents for two
+        // carrying the same terms. Nothing to publish.
         let docs: Vec<Document> = store.docs(PeerId(0)).to_vec();
+        live.apply_move(&docs, ClusterId(0), ClusterId(2));
+        live.apply_move(&docs, ClusterId(2), ClusterId(0));
+        let swapped = vec![
+            Document::new(vec![Sym(1), Sym(3)]),
+            Document::new(vec![Sym(1)]),
+        ];
+        live.apply_content_update(ClusterId(0), store.docs(PeerId(1)), &swapped);
+        assert!(live.changed_since(&published).is_empty());
 
-        batch.record_move(&docs, ClusterId(0), ClusterId(2));
-        batch.record_move(&docs, ClusterId(2), ClusterId(0));
-        assert!(batch.is_empty(), "out and back nets to zero");
-        assert!(batch.touched_clusters().is_empty());
+        // p2 leaves c2, a document without terms changes only c1's
+        // total, and a newcomer joins slot 4, past the published width:
+        // exactly those three, whichever side is wider.
+        live.apply_leave(store.docs(PeerId(2)), ClusterId(2));
+        live.apply_join(&[Document::new(Vec::new())], ClusterId(1));
+        live.ensure_cmax(5);
+        live.apply_join(&[Document::new(vec![Sym(4)])], ClusterId(4));
+        let changed = vec![ClusterId(1), ClusterId(2), ClusterId(4)];
+        assert_eq!(live.changed_since(&published), changed);
+        assert_eq!(published.changed_since(&live), changed);
 
-        let stats = batch.flush_into(&mut published);
-        assert_eq!(stats.events, 2);
-        assert_eq!(stats.terms_changed(), 0);
-        assert_eq!(published, before);
-    }
-
-    #[test]
-    fn batch_flush_grows_target_for_new_clusters() {
-        let mut published = ClusterSummaries::new(1);
-        let mut batch = SummaryBatch::new();
-        batch.record_join(&[Document::new(vec![Sym(4)])], ClusterId(3));
-        let stats = batch.flush_into(&mut published);
-        assert_eq!(published.n_clusters(), 4);
-        assert_eq!(published.doc_count(ClusterId(3)), 1);
-        assert_eq!(published.term_count(ClusterId(3), Sym(4)), 1);
-        assert_eq!(stats.clusters, vec![(ClusterId(3), 1)]);
-    }
-
-    #[test]
-    fn batch_ignores_self_moves() {
-        let mut batch = SummaryBatch::new();
-        batch.record_move(&[Document::new(vec![Sym(1)])], ClusterId(1), ClusterId(1));
-        assert!(batch.is_empty());
-        assert_eq!(batch.pending_events(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "summary underflow")]
-    fn batch_flush_panics_on_inconsistent_history() {
-        let mut published = ClusterSummaries::new(1);
-        let mut batch = SummaryBatch::new();
-        batch.record_leave(&[Document::new(vec![Sym(1)])], ClusterId(0));
-        let _ = batch.flush_into(&mut published);
+        // Growing the width alone adds only empty slots.
+        let mut wider = published.clone();
+        wider.ensure_cmax(8);
+        assert!(wider.changed_since(&published).is_empty());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Environment-knob parsing shared by the sim binaries.
+//! Environment-knob parsing shared by the sim and experiment binaries.
 //!
-//! Every reader here distinguishes *unset* (silent default) from *set
-//! but malformed*: a malformed value gets a stderr warning naming the
-//! knob and the rejected value before the default applies, so a typo'd
+//! Each knob is read by [`env_parsed`] through a pure `&str -> Option`
+//! parser. It distinguishes *unset* (silent default) from *set but
+//! malformed*: a malformed value gets a stderr warning naming the knob
+//! and the rejected value before the default applies, so a typo'd
 //! override can never masquerade as a deliberate choice.
 //!
 //! [`Knobs::from_env`] is the single entry point the binaries use: it
@@ -14,7 +15,7 @@ use recluster_core::{
     CrashWindow, DecisionSource, DelayDist, FaultSchedule, LiarConfig, LiarMode, NetConfig,
     Partition, PartitionKind,
 };
-use recluster_overlay::{RoutingMode, SummaryMode};
+use recluster_overlay::RoutingMode;
 use recluster_types::PeerId;
 
 /// A partition spec parsed from `RECLUSTER_NET_PARTITION`, before the
@@ -29,126 +30,92 @@ pub enum PartitionSpec {
     Isolate(u32),
 }
 
-/// Reads `name` as a timed partition: `start..heal` (bisect at half
-/// the peer set), `bisect:<pivot>@start..heal`, or
-/// `isolate:<peer>@start..heal`. Same warning discipline as
-/// [`env_u64`].
-pub fn env_partition(name: &str) -> Option<(PartitionSpec, u64, u64)> {
+/// Reads `name` through `parse`. Unset → `None` silently; set but
+/// rejected by `parse` → a stderr warning naming the knob and the
+/// value, then `None` (the caller's default applies).
+pub fn env_parsed<T>(name: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
     let raw = std::env::var(name).ok()?;
-    let parse_window = |s: &str| -> Option<(u64, u64)> {
-        let (lo, hi) = s.split_once("..")?;
-        match (lo.trim().parse(), hi.trim().parse()) {
-            (Ok(lo), Ok(hi)) if lo < hi => Some((lo, hi)),
-            _ => None,
-        }
-    };
-    let parsed = match raw.split_once('@') {
-        None => parse_window(&raw).map(|(start, heal)| (PartitionSpec::BisectHalf, start, heal)),
-        Some((kind, window)) => {
-            let spec = match kind.trim().split_once(':') {
-                Some(("bisect", pivot)) => pivot.trim().parse().ok().map(PartitionSpec::Bisect),
-                Some(("isolate", peer)) => peer.trim().parse().ok().map(PartitionSpec::Isolate),
-                _ => None,
-            };
-            match (spec, parse_window(window)) {
-                (Some(spec), Some((start, heal))) => Some((spec, start, heal)),
-                _ => None,
-            }
-        }
-    };
+    let parsed = parse(&raw);
     if parsed.is_none() {
         eprintln!("unknown {name}={raw:?}, ignoring");
     }
     parsed
 }
 
-/// Reads `name` as a comma-separated crash list: each entry is
-/// `peer@down..up` (the peer is down for ticks `[down, up)`). One
-/// malformed entry rejects the whole list, with the usual warning.
-pub fn env_crashes(name: &str) -> Vec<CrashWindow> {
-    let Ok(raw) = std::env::var(name) else {
-        return Vec::new();
-    };
-    let parse_one = |s: &str| -> Option<CrashWindow> {
-        let (peer, window) = s.split_once('@')?;
-        let (lo, hi) = window.split_once("..")?;
-        match (peer.trim().parse(), lo.trim().parse(), hi.trim().parse()) {
-            (Ok(peer), Ok(down), Ok(up)) if down < up => Some(CrashWindow {
-                peer: PeerId(peer),
-                down,
-                up,
-            }),
-            _ => None,
-        }
-    };
-    match raw.split(',').map(parse_one).collect() {
-        Some(windows) => windows,
-        None => {
-            eprintln!("unknown {name}={raw:?}, ignoring");
-            Vec::new()
-        }
+/// Parses a `u64`.
+pub fn parse_u64(s: &str) -> Option<u64> {
+    s.parse().ok()
+}
+
+/// Parses a flag: `1`/`true` or `0`/`false` (either case).
+pub fn parse_flag(s: &str) -> Option<bool> {
+    match s.to_ascii_lowercase().as_str() {
+        "1" | "true" => Some(true),
+        "0" | "false" => Some(false),
+        _ => None,
     }
 }
 
-/// Reads `name` as a `u64`. Unset → `None` silently; set but
-/// unparsable → a stderr warning, then `None` (the caller's default
-/// applies).
-pub fn env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("unknown {name}={raw:?}, ignoring");
-            None
-        }
+/// Parses an `f64` in `[0, max]`.
+pub fn parse_fraction(s: &str, max: f64) -> Option<f64> {
+    s.parse().ok().filter(|v| (0.0..=max).contains(v))
+}
+
+/// Parses `lo..hi` with `lo < hi`.
+fn parse_window(s: &str) -> Option<(u64, u64)> {
+    let (lo, hi) = s.split_once("..")?;
+    match (lo.trim().parse(), hi.trim().parse()) {
+        (Ok(lo), Ok(hi)) if lo < hi => Some((lo, hi)),
+        _ => None,
     }
 }
 
-/// Reads `name` as an `f64` constrained to `[0, max]`. Same warning
-/// discipline as [`env_u64`].
-pub fn env_fraction(name: &str, max: f64) -> Option<f64> {
-    let raw = std::env::var(name).ok()?;
-    match raw.parse::<f64>() {
-        Ok(v) if (0.0..=max).contains(&v) => Some(v),
-        _ => {
-            eprintln!("unknown {name}={raw:?}, ignoring");
-            None
-        }
-    }
-}
-
-/// Reads `name` as a tick range: either a single `u64` (`"3"` →
-/// `(3, 3)`) or `min..max` (`"0..5"` → `(0, 5)`). Same warning
-/// discipline as [`env_u64`].
-pub fn env_tick_range(name: &str) -> Option<(u64, u64)> {
-    let raw = std::env::var(name).ok()?;
-    let parsed = match raw.split_once("..") {
+/// Parses a tick range: either a single `u64` (`"3"` → `(3, 3)`) or
+/// `min..max` with `min ≤ max` (`"0..5"` → `(0, 5)`).
+pub fn parse_tick_range(s: &str) -> Option<(u64, u64)> {
+    match s.split_once("..") {
         Some((lo, hi)) => match (lo.trim().parse(), hi.trim().parse()) {
             (Ok(lo), Ok(hi)) if lo <= hi => Some((lo, hi)),
             _ => None,
         },
-        None => raw.trim().parse().ok().map(|v: u64| (v, v)),
-    };
-    if parsed.is_none() {
-        eprintln!("unknown {name}={raw:?}, ignoring");
+        None => s.trim().parse().ok().map(|v: u64| (v, v)),
     }
-    parsed
 }
 
-/// Reads the decision source (`RECLUSTER_DECISIONS`): `oracle`
-/// (default), `observed` (decay 0 — each repair acts on exactly the
-/// latest period's observations), or `observed:<decay>` for an
-/// exponential fold with the given weight in `[0, 1)`. Unset → `None`
-/// silently; malformed → a stderr warning, then `None`.
-pub fn decisions_from_env() -> Option<DecisionSource> {
-    let raw = std::env::var("RECLUSTER_DECISIONS").ok()?;
-    match DecisionSource::parse(&raw) {
-        Some(d) => Some(d),
-        None => {
-            eprintln!("unknown RECLUSTER_DECISIONS={raw:?}, using oracle");
-            None
+/// Parses a timed partition: `start..heal` (bisect at half the peer
+/// set), `bisect:<pivot>@start..heal`, or `isolate:<peer>@start..heal`,
+/// with `start < heal`.
+pub fn parse_partition(s: &str) -> Option<(PartitionSpec, u64, u64)> {
+    let (spec, window) = match s.split_once('@') {
+        None => (PartitionSpec::BisectHalf, s),
+        Some((kind, window)) => {
+            let spec = match kind.trim().split_once(':')? {
+                ("bisect", pivot) => PartitionSpec::Bisect(pivot.trim().parse().ok()?),
+                ("isolate", peer) => PartitionSpec::Isolate(peer.trim().parse().ok()?),
+                _ => return None,
+            };
+            (spec, window)
         }
-    }
+    };
+    let (start, heal) = parse_window(window)?;
+    Some((spec, start, heal))
+}
+
+/// Parses a comma-separated crash list: each entry is `peer@down..up`
+/// (the peer is down for ticks `[down, up)`, `down < up`). One
+/// malformed entry rejects the whole list.
+pub fn parse_crashes(s: &str) -> Option<Vec<CrashWindow>> {
+    s.split(',')
+        .map(|entry| {
+            let (peer, window) = entry.split_once('@')?;
+            let (down, up) = parse_window(window)?;
+            Some(CrashWindow {
+                peer: PeerId(peer.trim().parse().ok()?),
+                down,
+                up,
+            })
+        })
+        .collect()
 }
 
 /// Every `RECLUSTER_*` runtime knob, read once. `None`/`false` means
@@ -193,29 +160,21 @@ impl Knobs {
     /// Reads every knob from the environment, warning on stderr about
     /// each malformed value as it goes.
     pub fn from_env() -> Self {
-        let small = std::env::var("RECLUSTER_SMALL")
-            .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"));
-        let routing = std::env::var("RECLUSTER_ROUTING").ok().map(|raw| {
-            RoutingMode::parse(&raw).unwrap_or_else(|| {
-                eprintln!("unknown RECLUSTER_ROUTING={raw:?}, using exact");
-                RoutingMode::Routed(SummaryMode::Exact)
-            })
-        });
         Knobs {
-            seed: env_u64("RECLUSTER_SEED"),
-            small,
-            routing,
-            decisions: decisions_from_env(),
-            traffic_queries: env_u64("RECLUSTER_TRAFFIC_QUERIES"),
-            traffic_slices: env_u64("RECLUSTER_TRAFFIC_SLICES"),
-            net_delay: env_tick_range("RECLUSTER_NET_DELAY"),
+            seed: env_parsed("RECLUSTER_SEED", parse_u64),
+            small: env_parsed("RECLUSTER_SMALL", parse_flag).unwrap_or(false),
+            routing: env_parsed("RECLUSTER_ROUTING", RoutingMode::parse),
+            decisions: env_parsed("RECLUSTER_DECISIONS", DecisionSource::parse),
+            traffic_queries: env_parsed("RECLUSTER_TRAFFIC_QUERIES", parse_u64),
+            traffic_slices: env_parsed("RECLUSTER_TRAFFIC_SLICES", parse_u64),
+            net_delay: env_parsed("RECLUSTER_NET_DELAY", parse_tick_range),
             // drop_rate 1.0 would sever every link; the fabric rejects it.
-            net_drop: env_fraction("RECLUSTER_NET_DROP", 0.999),
-            net_seed: env_u64("RECLUSTER_NET_SEED"),
-            net_liars: env_fraction("RECLUSTER_NET_LIARS", 1.0),
-            net_partition: env_partition("RECLUSTER_NET_PARTITION"),
-            net_crash: env_crashes("RECLUSTER_NET_CRASH"),
-            threads: env_u64("RECLUSTER_THREADS"),
+            net_drop: env_parsed("RECLUSTER_NET_DROP", |s| parse_fraction(s, 0.999)),
+            net_seed: env_parsed("RECLUSTER_NET_SEED", parse_u64),
+            net_liars: env_parsed("RECLUSTER_NET_LIARS", |s| parse_fraction(s, 1.0)),
+            net_partition: env_parsed("RECLUSTER_NET_PARTITION", parse_partition),
+            net_crash: env_parsed("RECLUSTER_NET_CRASH", parse_crashes).unwrap_or_default(),
+            threads: env_parsed("RECLUSTER_THREADS", parse_u64),
         }
     }
 
@@ -292,41 +251,39 @@ impl Knobs {
 mod tests {
     use super::*;
 
-    // Each test owns a distinct variable name, so the suite stays safe
-    // under the parallel test runner.
-
     #[test]
-    fn env_u64_parses_and_rejects() {
-        std::env::set_var("RECLUSTER_KNOBTEST_GOOD", "42");
-        assert_eq!(env_u64("RECLUSTER_KNOBTEST_GOOD"), Some(42));
-        std::env::set_var("RECLUSTER_KNOBTEST_BAD", "not-a-number");
-        assert_eq!(env_u64("RECLUSTER_KNOBTEST_BAD"), None);
-        assert_eq!(env_u64("RECLUSTER_KNOBTEST_UNSET"), None);
+    fn unset_knobs_read_as_none() {
+        assert_eq!(env_parsed("RECLUSTER_KNOBTEST_UNSET", parse_u64), None);
+        assert_eq!(Knobs::default().net_crash, Vec::new());
     }
 
     #[test]
-    fn env_fraction_enforces_range() {
-        std::env::set_var("RECLUSTER_KNOBTEST_FRAC", "0.25");
-        assert_eq!(env_fraction("RECLUSTER_KNOBTEST_FRAC", 1.0), Some(0.25));
-        std::env::set_var("RECLUSTER_KNOBTEST_FRAC_BIG", "1.5");
-        assert_eq!(env_fraction("RECLUSTER_KNOBTEST_FRAC_BIG", 1.0), None);
-        std::env::set_var("RECLUSTER_KNOBTEST_FRAC_NEG", "-0.1");
-        assert_eq!(env_fraction("RECLUSTER_KNOBTEST_FRAC_NEG", 1.0), None);
+    fn u64_and_flag_parse_and_reject() {
+        assert_eq!(parse_u64("42"), Some(42));
+        assert_eq!(parse_u64("not-a-number"), None);
+        assert_eq!(parse_u64("-1"), None);
+        for (raw, want) in [("1", true), ("TRUE", true), ("0", false), ("false", false)] {
+            assert_eq!(parse_flag(raw), Some(want), "{raw}");
+        }
+        assert_eq!(parse_flag("yes"), None);
+        assert_eq!(parse_flag(""), None);
     }
 
     #[test]
-    fn env_tick_range_accepts_fixed_and_span() {
-        std::env::set_var("RECLUSTER_KNOBTEST_TICKS_ONE", "3");
-        assert_eq!(env_tick_range("RECLUSTER_KNOBTEST_TICKS_ONE"), Some((3, 3)));
-        std::env::set_var("RECLUSTER_KNOBTEST_TICKS_SPAN", "0..5");
-        assert_eq!(
-            env_tick_range("RECLUSTER_KNOBTEST_TICKS_SPAN"),
-            Some((0, 5))
-        );
-        std::env::set_var("RECLUSTER_KNOBTEST_TICKS_INV", "5..0");
-        assert_eq!(env_tick_range("RECLUSTER_KNOBTEST_TICKS_INV"), None);
-        std::env::set_var("RECLUSTER_KNOBTEST_TICKS_BAD", "fast");
-        assert_eq!(env_tick_range("RECLUSTER_KNOBTEST_TICKS_BAD"), None);
+    fn fraction_enforces_range() {
+        assert_eq!(parse_fraction("0.25", 1.0), Some(0.25));
+        assert_eq!(parse_fraction("1.5", 1.0), None);
+        assert_eq!(parse_fraction("-0.1", 1.0), None);
+        assert_eq!(parse_fraction("1.0", 0.999), None);
+        assert_eq!(parse_fraction("NaN", 1.0), None);
+    }
+
+    #[test]
+    fn tick_range_accepts_fixed_and_span() {
+        assert_eq!(parse_tick_range("3"), Some((3, 3)));
+        assert_eq!(parse_tick_range("0..5"), Some((0, 5)));
+        assert_eq!(parse_tick_range("5..0"), None);
+        assert_eq!(parse_tick_range("fast"), None);
     }
 
     #[test]
@@ -351,36 +308,31 @@ mod tests {
     }
 
     #[test]
-    fn env_partition_accepts_all_three_forms() {
-        std::env::set_var("RECLUSTER_KNOBTEST_PART_BARE", "5..40");
+    fn partition_accepts_all_three_forms() {
         assert_eq!(
-            env_partition("RECLUSTER_KNOBTEST_PART_BARE"),
+            parse_partition("5..40"),
             Some((PartitionSpec::BisectHalf, 5, 40))
         );
-        std::env::set_var("RECLUSTER_KNOBTEST_PART_BISECT", "bisect:7@5..40");
         assert_eq!(
-            env_partition("RECLUSTER_KNOBTEST_PART_BISECT"),
+            parse_partition("bisect:7@5..40"),
             Some((PartitionSpec::Bisect(7), 5, 40))
         );
-        std::env::set_var("RECLUSTER_KNOBTEST_PART_ISO", "isolate:3@5..40");
         assert_eq!(
-            env_partition("RECLUSTER_KNOBTEST_PART_ISO"),
+            parse_partition("isolate:3@5..40"),
             Some((PartitionSpec::Isolate(3), 5, 40))
         );
         // Empty and inverted windows, and unknown kinds, are rejected.
-        std::env::set_var("RECLUSTER_KNOBTEST_PART_EMPTY", "5..5");
-        assert_eq!(env_partition("RECLUSTER_KNOBTEST_PART_EMPTY"), None);
-        std::env::set_var("RECLUSTER_KNOBTEST_PART_KIND", "split:7@5..40");
-        assert_eq!(env_partition("RECLUSTER_KNOBTEST_PART_KIND"), None);
-        assert_eq!(env_partition("RECLUSTER_KNOBTEST_PART_UNSET"), None);
+        assert_eq!(parse_partition("5..5"), None);
+        assert_eq!(parse_partition("40..5"), None);
+        assert_eq!(parse_partition("split:7@5..40"), None);
+        assert_eq!(parse_partition("bisect@5..40"), None);
     }
 
     #[test]
-    fn env_crashes_parses_a_list_and_rejects_whole_on_one_bad_entry() {
-        std::env::set_var("RECLUSTER_KNOBTEST_CRASH_LIST", "3@5..40, 9@10..20");
+    fn crashes_parse_a_list_and_reject_whole_on_one_bad_entry() {
         assert_eq!(
-            env_crashes("RECLUSTER_KNOBTEST_CRASH_LIST"),
-            vec![
+            parse_crashes("3@5..40, 9@10..20"),
+            Some(vec![
                 CrashWindow {
                     peer: PeerId(3),
                     down: 5,
@@ -391,11 +343,10 @@ mod tests {
                     down: 10,
                     up: 20
                 },
-            ]
+            ])
         );
-        std::env::set_var("RECLUSTER_KNOBTEST_CRASH_BAD", "3@5..40,oops");
-        assert_eq!(env_crashes("RECLUSTER_KNOBTEST_CRASH_BAD"), Vec::new());
-        assert_eq!(env_crashes("RECLUSTER_KNOBTEST_CRASH_UNSET"), Vec::new());
+        assert_eq!(parse_crashes("3@5..40,oops"), None);
+        assert_eq!(parse_crashes("3@5..5"), None);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! ```
 //! use recluster_core::DecisionSource;
 //! use recluster_overlay::SimNetwork;
-//! use recluster_sim::maintenance::{ChurnApplied, Maintenance};
+//! use recluster_sim::maintenance::Maintenance;
 //! use recluster_sim::scenario::{ideal_scenario1_system, ExperimentConfig};
 //! use recluster_types::seeded_rng;
 //!
@@ -36,8 +36,8 @@
 //! let mut testbed = ideal_scenario1_system(&cfg);
 //! let mut maintenance = Maintenance::new(&cfg, &testbed, DecisionSource::Oracle);
 //! let mut net = SimNetwork::new();
-//! let applied = maintenance.churn_batch(&mut testbed, 1, 2, &mut seeded_rng(1), &mut net);
-//! assert!(matches!(applied[..], [ChurnApplied::Left { .. }, ChurnApplied::Joined { .. }, _]));
+//! let touched = maintenance.churn_batch(&mut testbed, 1, 2, &mut seeded_rng(1), &mut net);
+//! assert_eq!(touched.len(), 3, "one leave, then two joins");
 //! assert_eq!(testbed.system.overlay().n_peers(), 41);
 //! // Oracle decisions audit nothing.
 //! assert!(maintenance.into_fidelity().is_none());
@@ -52,7 +52,7 @@ use recluster_core::{
 use recluster_corpus::{QueryBias, QuerySampler, WorkloadBuilder};
 use recluster_overlay::churn::{random_leave, ChurnDelta, ChurnEvent};
 use recluster_overlay::{RoutingMode, SimNetwork};
-use recluster_types::{derive_seed, seeded_rng, ClusterId, Document, PeerId, Workload};
+use recluster_types::{derive_seed, seeded_rng, ClusterId, Workload};
 
 use crate::runner::{decision_agreement, run_protocol, run_protocol_observed, StrategyKind};
 use crate::scenario::{ExperimentConfig, TestBed};
@@ -111,27 +111,6 @@ impl FidelityReport {
     }
 }
 
-/// One churn event a batch applied, with what a consumer of summary
-/// deltas needs to know about it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChurnApplied {
-    /// A live peer left `cluster`.
-    Left {
-        /// The cluster the peer left.
-        cluster: ClusterId,
-        /// The leaver's documents, snapshotted before the leave hook
-        /// dropped them from the store.
-        docs: Vec<Document>,
-    },
-    /// A fresh peer joined `cluster`; its documents are in the store.
-    Joined {
-        /// The new peer.
-        peer: PeerId,
-        /// The cluster it joined.
-        cluster: ClusterId,
-    },
-}
-
 /// The shared maintenance driver; see the [module docs](self).
 pub struct Maintenance {
     /// Query occurrences a newcomer's workload draws.
@@ -167,7 +146,8 @@ impl Maintenance {
     /// non-empty cluster. Every event flows through the `System` churn
     /// hooks, which delta-maintain the recall index, the summaries and
     /// the cost cache — no rebuild, and mid-batch state is always
-    /// exact. Returns the applied events in order.
+    /// exact. Returns, in order, the cluster each applied event left or
+    /// joined.
     pub fn churn_batch(
         &mut self,
         testbed: &mut TestBed,
@@ -175,20 +155,19 @@ impl Maintenance {
         joins: usize,
         rng: &mut StdRng,
         net: &mut SimNetwork,
-    ) -> Vec<ChurnApplied> {
-        let mut applied = Vec::with_capacity(leaves + joins);
+    ) -> Vec<ClusterId> {
+        let mut touched = Vec::with_capacity(leaves + joins);
         for _ in 0..leaves {
             let Some(ChurnEvent::Leave { peer }) = random_leave(testbed.system.overlay(), rng)
             else {
                 continue;
             };
-            let docs = testbed.system.store().docs(peer).to_vec();
             if let Some(ChurnDelta::Left { peer, cluster }) = testbed
                 .system
                 .apply_churn_event(net, ChurnEvent::Leave { peer })
             {
                 testbed.system.set_workload(peer, Workload::new());
-                applied.push(ChurnApplied::Left { cluster, docs });
+                touched.push(cluster);
             }
         }
 
@@ -221,9 +200,9 @@ impl Maintenance {
             testbed.system.set_workload(peer, workload);
             testbed.peer_category.push(cat);
             testbed.query_category.push(Some(cat));
-            applied.push(ChurnApplied::Joined { peer, cluster });
+            touched.push(cluster);
         }
-        applied
+        touched
     }
 
     /// The observation pass: every live workload routed once under

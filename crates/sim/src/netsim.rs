@@ -198,7 +198,7 @@ pub fn run_liar_audit(
             skipped += report.skipped;
             flagged.extend(report.flagged);
             liar_set.extend(report.liars);
-            if outcome.requests.is_empty() {
+            if outcome.proposed == 0 {
                 break;
             }
         }

@@ -19,16 +19,16 @@
 //! * [`TrafficEngine`] advances a slice clock. Each slice routes its
 //!   queries through a [`RoutePlan`] built from the **published**
 //!   summaries; churn ticks apply the shared [`Maintenance`] churn
-//!   batch and record its summary deltas into a [`SummaryBatch`]
-//!   instead of broadcasting them; repair ticks flush the batch (one
-//!   coalesced publication per touched cluster), rebuild the plan, run
-//!   the shared repair, and record the repair's relocations into the
-//!   next batch by membership diff.
+//!   batch, whose `System` hooks keep the live summaries exact, without
+//!   broadcasting anything; repair ticks publish what changed since the
+//!   last publication (one broadcast per cluster whose summary differs,
+//!   [`ClusterSummaries::changed_since`]), rebuild the plan and run the
+//!   shared repair, whose relocations wait for the next publication.
 //! * [`TrafficReport`] aggregates throughput (queries, forwards,
 //!   results), the per-query fan-out tail
 //!   ([`ForwardHistogram`] p50/p99/max), false negatives (lossy
-//!   summaries *and* staleness), the batching ledger (per-event vs
-//!   batched `SummaryUpdate` messages), and per-repair-window rows —
+//!   summaries *and* staleness), the publication ledger (per-event vs
+//!   per-repair `SummaryUpdate` messages), and per-repair-window rows —
 //!   everything integer-derived, pinned by a golden digest.
 //!
 //! Determinism: one seeded RNG stream drives sampling and churn; the
@@ -52,8 +52,8 @@
 //! assert!(report.repairs > 0 && report.churn_events > 0);
 //! // Routing never fans wider than flooding would.
 //! assert!(report.forwards <= report.flood_forwards);
-//! // Batching publishes (far) fewer summary messages than eager
-//! // per-event broadcast.
+//! // Publishing once per repair costs (far) fewer summary messages
+//! // than eager per-event broadcast.
 //! assert!(report.summary_updates_batched <= report.summary_updates_per_event);
 //! ```
 
@@ -65,11 +65,11 @@ use rand::Rng;
 use recluster_core::{scost_normalized, DecisionSource, ForwardHistogram, ProtocolConfig, System};
 use recluster_corpus::{QueryBias, QuerySampler, WorkloadBuilder, Zipf};
 use recluster_overlay::{
-    ClusterSummaries, MsgKind, RoutePlan, RoutingMode, SimNetwork, SummaryBatch, SummaryMode,
+    ClusterSummaries, MsgKind, RoutePlan, RoutingMode, SimNetwork, SummaryMode,
 };
 use recluster_types::{derive_seed, seeded_rng, ClusterId, PeerId, Query};
 
-use crate::maintenance::{ChurnApplied, FidelityReport, Maintenance};
+use crate::maintenance::{FidelityReport, Maintenance};
 use crate::report::Fnv;
 use crate::runner::StrategyKind;
 use crate::scenario::{ideal_scenario1_system, ExperimentConfig, TestBed};
@@ -281,13 +281,14 @@ pub struct TrafficReport {
     pub repairs: usize,
     /// Total relocations across all repairs.
     pub moves: usize,
-    /// Summary-delta events coalesced through the batch.
+    /// Membership events (churn, plus peers a repair relocated) covered
+    /// by the publications.
     pub summary_events: u64,
-    /// `SummaryUpdate` messages the batched flushes published.
+    /// `SummaryUpdate` messages the per-repair publications sent.
     pub summary_updates_batched: u64,
     /// `SummaryUpdate` messages eager per-event publication would have
     /// cost (charged by the `System` churn hooks; the baseline the
-    /// batch is saving against).
+    /// per-repair publication is saving against).
     pub summary_updates_per_event: u64,
     /// Occurrence-weighted per-query fan-out distribution.
     pub histogram: ForwardHistogram,
@@ -503,10 +504,11 @@ pub struct TrafficEngine {
     cfg: TrafficConfig,
     dynamics: WorkloadDynamics,
     rng: StdRng,
-    /// The summaries queries route against — stale between flushes.
+    /// The summaries queries route against — stale between
+    /// publications.
     published: ClusterSummaries,
-    /// Pending deltas since the last publication.
-    batch: SummaryBatch,
+    /// Membership events since the last publication.
+    unpublished_events: u64,
     plan: Option<RoutePlan>,
     cache: EvalCache,
     /// Maintenance-side ledger (churn, protocol, eager summary hooks).
@@ -551,7 +553,7 @@ impl TrafficEngine {
             rng: seeded_rng(derive_seed(cfg.seed, 0x7AF1C)),
             dynamics,
             published,
-            batch: SummaryBatch::new(),
+            unpublished_events: 0,
             plan,
             cache: EvalCache::new(cmax),
             net: SimNetwork::new(),
@@ -613,12 +615,11 @@ impl TrafficEngine {
         }
     }
 
-    /// One churn tick: the shared churn batch, every summary delta
-    /// recorded into the batch (the `System` hooks keep the *oracle*
-    /// summaries eagerly exact; the published copy waits for the next
-    /// flush).
+    /// One churn tick: the shared churn batch. The `System` hooks keep
+    /// the live summaries exact; the published copy waits for the next
+    /// repair tick.
     fn churn_tick(&mut self) {
-        let applied = self.maintenance.churn_batch(
+        let touched = self.maintenance.churn_batch(
             &mut self.testbed,
             self.cfg.leaves_per_tick,
             self.cfg.joins_per_tick,
@@ -626,56 +627,35 @@ impl TrafficEngine {
             &mut self.net,
         );
         self.cache.ensure_cmax(self.testbed.system.overlay().cmax());
-        for event in &applied {
-            match event {
-                ChurnApplied::Left { cluster, docs } => {
-                    self.batch.record_leave(docs, *cluster);
-                    self.cache.invalidate(*cluster);
-                }
-                ChurnApplied::Joined { peer, cluster } => {
-                    let docs = self.testbed.system.store().docs(*peer);
-                    self.batch.record_join(docs, *cluster);
-                    self.cache.invalidate(*cluster);
-                }
-            }
+        for &cid in &touched {
+            self.cache.invalidate(cid);
         }
-        self.churn_events += applied.len() as u64;
+        self.churn_events += touched.len() as u64;
+        self.unpublished_events += touched.len() as u64;
     }
 
-    /// One repair tick: flush → republish → repair → record the
-    /// repair's moves for the *next* flush. Queries between this tick
-    /// and the next therefore see the pre-repair content map — exactly
-    /// the staleness a real publication cadence implies.
+    /// One repair tick: publish → rebuild the plan → repair. The
+    /// repair's moves are published at the *next* tick, so queries
+    /// between the two see the pre-repair content map — exactly the
+    /// staleness a real publication cadence implies.
     fn repair_tick(&mut self, t: usize) {
-        // Publish: apply the coalesced deltas and charge one broadcast
-        // per *touched* cluster (events that cancelled out cost zero).
-        let stats = self.batch.flush_into(&mut self.published);
-        // Joins may have grown the slot space past the highest *touched*
-        // slot; mirror the oracle's width so untouched trailing slots
-        // compare equal.
-        self.published
-            .ensure_cmax(self.testbed.system.overlay().cmax());
-        self.summary_events += stats.events;
-        let theta = self.testbed.system.config().theta;
-        for &(cid, terms) in &stats.clusters {
-            let fanout = theta.broadcast_messages(self.testbed.system.overlay().size(cid));
-            let _ = terms; // payload size would be 16 + 4·terms bytes
-            self.summary_updates_batched += fanout;
+        // Publish: one broadcast per cluster whose summary changed since
+        // the last publication (events that cancelled out cost nothing).
+        let system = &self.testbed.system;
+        let theta = system.config().theta;
+        for cid in system.summaries().changed_since(&self.published) {
+            self.summary_updates_batched += theta.broadcast_messages(system.overlay().size(cid));
         }
-        debug_assert_eq!(
-            &self.published,
-            self.testbed.system.summaries(),
-            "flush must land exactly on the eagerly maintained oracle"
-        );
+        self.summary_events += std::mem::take(&mut self.unpublished_events);
+        self.published.clone_from(system.summaries());
         self.plan = match self.cfg.mode {
             RoutingMode::Flood => None,
             RoutingMode::Routed(precision) => Some(RoutePlan::build(&self.published, precision)),
         };
 
-        // Repair, then diff membership to feed the next batch: the
-        // protocol relocates peers through the System hooks (eager
-        // oracle), and the published view learns about it at the next
-        // flush, like every other delta.
+        // Repair, then diff membership: every relocated peer invalidates
+        // its old and new cluster's cache and counts toward the next
+        // publication.
         let n_slots = self.testbed.system.overlay().n_slots();
         let before: Vec<Option<ClusterId>> = (0..n_slots)
             .map(|s| {
@@ -704,28 +684,16 @@ impl TrafficEngine {
         self.moves += window_moves;
         self.repairs += 1;
         for (slot, &was) in before.iter().enumerate() {
-            let peer = PeerId::from_index(slot);
-            let now = self.testbed.system.overlay().cluster_of(peer);
-            if was == now {
-                continue;
-            }
-            let docs = self.testbed.system.store().docs(peer);
-            match (was, now) {
-                (Some(from), Some(to)) => {
-                    self.batch.record_move(docs, from, to);
-                    self.cache.invalidate(from);
-                    self.cache.invalidate(to);
+            let now = self
+                .testbed
+                .system
+                .overlay()
+                .cluster_of(PeerId::from_index(slot));
+            if was != now {
+                self.unpublished_events += 1;
+                for cid in [was, now].into_iter().flatten() {
+                    self.cache.invalidate(cid);
                 }
-                // The protocol never churns peers, but stay total.
-                (None, Some(to)) => {
-                    self.batch.record_join(docs, to);
-                    self.cache.invalidate(to);
-                }
-                (Some(from), None) => {
-                    self.batch.record_leave(docs, from);
-                    self.cache.invalidate(from);
-                }
-                (None, None) => unreachable!("guarded by the inequality above"),
             }
         }
         self.close_window(t, window_moves);
@@ -948,7 +916,7 @@ mod tests {
     fn batching_coalesces_summary_traffic() {
         let (cfg, traffic) = traffic_small_config(23);
         let report = run_traffic(&cfg, &traffic);
-        assert!(report.summary_events > 0, "churn + moves feed the batch");
+        assert!(report.summary_events > 0, "churn + moves are published");
         assert!(
             report.summary_updates_batched <= report.summary_updates_per_event,
             "batched {} > per-event {}",
