@@ -1,6 +1,8 @@
-//! Ablations over the design choices called out in DESIGN.md: the `θ`
-//! cost-model shape, the `ε` stop threshold, the hybrid strategy's `λ`,
-//! and the §3.2 anti-cycle lock rule.
+//! Ablations over the design choices that the paper motivates but
+//! evaluates at one setting only, or not at all (see
+//! `recluster_sim::ablation`): the `θ` cost-model shape, the `ε` stop
+//! threshold, the hybrid strategy's `λ`, and the §3.2 anti-cycle lock
+//! rule.
 
 use recluster_bench::{banner, DEFAULT_SEED};
 use recluster_sim::ablation::{

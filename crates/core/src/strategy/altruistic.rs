@@ -12,7 +12,7 @@
 //! and selects the cluster with the maximum contribution. The paper's
 //! cluster gain (`clgain`) combines that contribution with "the increase
 //! in the membership cost of c_new p will cause if it joins it"; the
-//! wording is ambiguous about sign, so (as recorded in DESIGN.md) we use
+//! wording is ambiguous about sign. We settle it as
 //!
 //! ```text
 //! clgain = contribution(p, c_new) − contribution(p, c_cur)

@@ -10,7 +10,7 @@
 use rand::Rng;
 use recluster_types::{Query, Sym, Workload};
 
-use crate::generator::Corpus;
+use crate::generator::{count_doc_freq, Corpus};
 use crate::zipf::Zipf;
 
 /// How query words are drawn "from the texts".
@@ -62,23 +62,12 @@ impl QuerySampler {
         let df: Vec<u32> = match doc_limit {
             None => corpus.doc_freq(category).to_vec(),
             Some(limit) => {
-                // One pass over the visible docs (attribute sets are
-                // deduplicated, so each doc counts a word at most once)
-                // instead of a full-doc scan per vocabulary word — the
-                // construction is O(docs × words-per-doc), which matters
-                // because testbed builders sample many peers per
-                // category.
-                let docs = &corpus.docs(category)[..limit.min(corpus.docs(category).len())];
-                let mut counts: std::collections::HashMap<Sym, u32> =
-                    std::collections::HashMap::with_capacity(syms.len());
-                for doc in docs {
-                    for &a in doc.attrs() {
-                        *counts.entry(a).or_insert(0) += 1;
-                    }
-                }
-                syms.iter()
-                    .map(|&s| counts.get(&s).copied().unwrap_or(0))
-                    .collect()
+                let docs = corpus.docs(category);
+                count_doc_freq(
+                    syms,
+                    &docs[..limit.min(docs.len())],
+                    corpus.interner().len(),
+                )
             }
         };
         let mut kept = Vec::new();
@@ -298,16 +287,15 @@ impl WorkloadBuilder {
     }
 
     /// Builds one peer's workload mixing all categories uniformly at
-    /// random (the paper's third scenario).
+    /// random (the paper's third scenario), over one prebuilt sampler per
+    /// category ([`WorkloadBuilder::sampler`]): the samplers hold no RNG
+    /// state, so every peer of a testbed can share them.
     pub fn build_uniform_mix<R: Rng + ?Sized>(
         &self,
-        corpus: &Corpus,
+        samplers: &[QuerySampler],
         n_queries: u64,
         rng: &mut R,
     ) -> Workload {
-        let samplers: Vec<QuerySampler> = (0..corpus.n_categories())
-            .map(|c| QuerySampler::within_docs(corpus, c, self.bias, self.doc_limit))
-            .collect();
         let mut workload = Workload::new();
         for _ in 0..n_queries {
             let c = rng.gen_range(0..samplers.len());
@@ -377,6 +365,43 @@ mod tests {
         }
     }
 
+    /// Under a document limit, the sampler equals one built from a scan
+    /// of the visible documents per vocabulary word, to the bit.
+    #[test]
+    fn doc_limit_matches_a_per_word_scan() {
+        let c = corpus();
+        let cat = 1;
+        let n_docs = c.docs(cat).len();
+        for bias in [QueryBias::Occurrence, QueryBias::Uniform, QueryBias::Rare] {
+            let mut supports = Vec::new();
+            for limit in [1, n_docs / 2, n_docs, n_docs + 5] {
+                let visible = &c.docs(cat)[..limit.min(n_docs)];
+                let mut syms = Vec::new();
+                let mut cdf = Vec::new();
+                let mut acc = 0.0;
+                for (&s, &occ) in c.category_syms(cat).iter().zip(c.occurrences(cat)) {
+                    let df = visible.iter().filter(|d| d.contains(s)).count();
+                    if occ == 0 || df == 0 {
+                        continue;
+                    }
+                    acc += match bias {
+                        QueryBias::Occurrence => occ as f64,
+                        QueryBias::Uniform => 1.0,
+                        QueryBias::Rare => 1.0 / df as f64,
+                    };
+                    syms.push(s);
+                    cdf.push(acc.to_bits());
+                }
+                let sampler = QuerySampler::within_docs(&c, cat, bias, Some(limit));
+                assert_eq!(sampler.syms, syms, "{bias:?}, limit {limit}");
+                let bits: Vec<u64> = sampler.cdf.iter().map(|w| w.to_bits()).collect();
+                assert_eq!(bits, cdf, "{bias:?}, limit {limit}");
+                supports.push(sampler.support());
+            }
+            assert!(supports[0] < supports[2], "the limit must hide words");
+        }
+    }
+
     #[test]
     fn occurrence_bias_prefers_head_words() {
         let c = corpus();
@@ -421,7 +446,11 @@ mod tests {
     fn uniform_mix_spans_categories() {
         let c = corpus();
         let mut rng = seeded_rng(6);
-        let w = WorkloadBuilder::new(QueryBias::Uniform).build_uniform_mix(&c, 300, &mut rng);
+        let builder = WorkloadBuilder::new(QueryBias::Uniform);
+        let samplers: Vec<QuerySampler> = (0..c.n_categories())
+            .map(|cat| builder.sampler(&c, cat))
+            .collect();
+        let w = builder.build_uniform_mix(&samplers, 300, &mut rng);
         let mut cats_seen = std::collections::HashSet::new();
         for (q, _) in w.iter() {
             cats_seen.insert(c.category_of(q.attrs()[0]).unwrap());

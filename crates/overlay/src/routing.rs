@@ -167,14 +167,15 @@ pub enum RoutingMode {
 
 impl RoutingMode {
     /// Parses the `RECLUSTER_ROUTING` knob: `flood`, `routed` (or
-    /// `exact`), or `lossy:<k>`.
+    /// `exact`), or `lossy:<k>` with `k ≥ 1`. A summary that keeps no
+    /// term would route no query anywhere, so `lossy:0` is rejected.
     pub fn parse(s: &str) -> Option<RoutingMode> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
             "flood" => Some(RoutingMode::Flood),
             "routed" | "exact" => Some(RoutingMode::Routed(SummaryMode::Exact)),
             _ => {
-                let k = s.strip_prefix("lossy:")?.parse().ok()?;
+                let k = s.strip_prefix("lossy:")?.parse().ok().filter(|&k| k >= 1)?;
                 Some(RoutingMode::Routed(SummaryMode::TopK(k)))
             }
         }
@@ -712,6 +713,11 @@ mod tests {
         );
         assert_eq!(RoutingMode::parse("nonsense"), None);
         assert_eq!(RoutingMode::parse("lossy:x"), None);
+        assert_eq!(RoutingMode::parse("lossy:0"), None);
+        assert_eq!(
+            RoutingMode::parse("lossy:1"),
+            Some(RoutingMode::Routed(SummaryMode::TopK(1)))
+        );
         assert_eq!(RoutingMode::Flood.to_string(), "flood");
         assert_eq!(
             RoutingMode::Routed(SummaryMode::TopK(8)).to_string(),

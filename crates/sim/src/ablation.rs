@@ -1,4 +1,5 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over four design choices that the paper motivates but
+//! evaluates at one setting only, or not at all:
 //!
 //! * `θ` shape — the paper motivates linear vs. logarithmic `θ`
 //!   (fully-connected vs. structured intra-cluster topology, §2.1) but

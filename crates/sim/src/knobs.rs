@@ -214,8 +214,13 @@ impl Knobs {
     /// The fault schedule the `RECLUSTER_NET_PARTITION` and
     /// `RECLUSTER_NET_CRASH` knobs describe — empty when neither is
     /// set. `n_peers` resolves the bare `start..heal` form's "bisect at
-    /// half" pivot; the explicit forms ignore it.
+    /// half" pivot; the explicit forms ignore it. An entry that can
+    /// reach no peer of the run gets a stderr warning but stays in the
+    /// schedule as parsed.
     pub fn fault_schedule(&self, n_peers: usize) -> FaultSchedule {
+        for warning in self.fault_warnings(n_peers) {
+            eprintln!("{warning}");
+        }
         let mut faults = FaultSchedule::none();
         if let Some((spec, start, heal)) = self.net_partition {
             let kind = match spec {
@@ -229,6 +234,38 @@ impl Knobs {
         }
         faults.crashes = self.net_crash.clone();
         faults
+    }
+
+    /// One warning per fault-knob entry that can never fire in a run of
+    /// `n_peers` peers: a crash or `isolate:` peer at or past `n_peers`,
+    /// or a `bisect:` pivot of 0 or at least `n_peers`, which leaves
+    /// every peer on one side.
+    fn fault_warnings(&self, n_peers: usize) -> Vec<String> {
+        let outside = |peer: u32| peer as usize >= n_peers;
+        let mut warnings = Vec::new();
+        match self.net_partition {
+            Some((PartitionSpec::Isolate(peer), start, heal)) if outside(peer) => {
+                warnings.push(format!(
+                    "RECLUSTER_NET_PARTITION=\"isolate:{peer}@{start}..{heal}\" names peer \
+                     {peer}, but the run has {n_peers} peers: it never fires"
+                ));
+            }
+            Some((PartitionSpec::Bisect(pivot), start, heal)) if pivot == 0 || outside(pivot) => {
+                warnings.push(format!(
+                    "RECLUSTER_NET_PARTITION=\"bisect:{pivot}@{start}..{heal}\" leaves all \
+                     {n_peers} peers on one side: it never fires"
+                ));
+            }
+            _ => {}
+        }
+        for CrashWindow { peer, down, up } in self.net_crash.iter().filter(|c| outside(c.peer.0)) {
+            let peer = peer.0;
+            warnings.push(format!(
+                "RECLUSTER_NET_CRASH entry \"{peer}@{down}..{up}\" names peer {peer}, but the \
+                 run has {n_peers} peers: it never fires"
+            ));
+        }
+        warnings
     }
 
     /// The liar population the `RECLUSTER_NET_LIARS` knob describes
@@ -378,6 +415,56 @@ mod tests {
             isolate.fault_schedule(40).partitions[0].kind,
             PartitionKind::Isolate { peer: PeerId(3) }
         );
+    }
+
+    #[test]
+    fn fault_entries_past_the_peer_set_warn() {
+        let crash = |peer| Knobs {
+            net_crash: vec![CrashWindow {
+                peer: PeerId(peer),
+                down: 1,
+                up: 5,
+            }],
+            ..Knobs::default()
+        };
+        let partition = |spec| Knobs {
+            net_partition: Some((spec, 5, 40)),
+            ..Knobs::default()
+        };
+        let quiet = [
+            crash(39),
+            partition(PartitionSpec::Isolate(39)),
+            partition(PartitionSpec::Bisect(20)),
+            partition(PartitionSpec::BisectHalf),
+        ];
+        for knobs in &quiet {
+            assert_eq!(knobs.fault_warnings(40), Vec::<String>::new(), "{knobs:?}");
+        }
+        let loud = [
+            (crash(40), "RECLUSTER_NET_CRASH entry \"40@1..5\""),
+            (crash(99_999), "RECLUSTER_NET_CRASH entry \"99999@1..5\""),
+            (
+                partition(PartitionSpec::Isolate(40)),
+                "RECLUSTER_NET_PARTITION=\"isolate:40@5..40\"",
+            ),
+            (
+                partition(PartitionSpec::Bisect(0)),
+                "RECLUSTER_NET_PARTITION=\"bisect:0@5..40\"",
+            ),
+            (
+                partition(PartitionSpec::Bisect(40)),
+                "RECLUSTER_NET_PARTITION=\"bisect:40@5..40\"",
+            ),
+        ];
+        for (knobs, prefix) in &loud {
+            let warnings = knobs.fault_warnings(40);
+            assert_eq!(warnings.len(), 1, "{knobs:?}");
+            assert!(warnings[0].starts_with(prefix), "{}", warnings[0]);
+            assert!(warnings[0].contains("40 peers"), "{}", warnings[0]);
+        }
+        // The schedule keeps what was parsed.
+        let (knobs, _) = &loud[1];
+        assert_eq!(knobs.fault_schedule(40).crashes, knobs.net_crash);
     }
 
     #[test]

@@ -426,6 +426,14 @@ fn build_workloads(
     // draws themselves. The draws are identical either way (the sampler
     // holds no RNG state).
     let mut samplers: Vec<Option<QuerySampler>> = vec![None; cfg.n_categories];
+    // A Uniform peer mixes every category, so that scenario builds them
+    // all up front.
+    let mix: Vec<QuerySampler> = match scenario {
+        Scenario::Uniform => (0..cfg.n_categories)
+            .map(|c| builder.sampler(corpus, c))
+            .collect(),
+        _ => Vec::new(),
+    };
     let mut workloads = Vec::with_capacity(cfg.n_peers);
     let mut query_category = Vec::with_capacity(cfg.n_peers);
     for i in 0..cfg.n_peers {
@@ -461,7 +469,7 @@ fn build_workloads(
                     Some(qcat),
                 )
             }
-            Scenario::Uniform => (builder.build_uniform_mix(corpus, demand[i], &mut rng), None),
+            Scenario::Uniform => (builder.build_uniform_mix(&mix, demand[i], &mut rng), None),
         };
         workloads.push(workload);
         query_category.push(qcat);

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use recluster_core::DecisionSource;
-use recluster_overlay::RoutingMode;
+use recluster_overlay::{RoutingMode, SummaryMode};
 use recluster_sim::knobs::{
     parse_crashes, parse_flag, parse_fraction, parse_partition, parse_tick_range, parse_u64,
 };
@@ -21,7 +21,9 @@ use recluster_types::seeded_rng;
 fn check_all(s: &str) -> Result<(), TestCaseError> {
     let _ = parse_u64(s);
     let _ = parse_flag(s);
-    let _ = RoutingMode::parse(s);
+    if let Some(RoutingMode::Routed(SummaryMode::TopK(k))) = RoutingMode::parse(s) {
+        prop_assert!(k >= 1, "lossy summary of {k} terms from {s:?}");
+    }
     if let Some(DecisionSource::Observed { decay }) = DecisionSource::parse(s) {
         prop_assert!((0.0..1.0).contains(&decay), "decay {decay} from {s:?}");
     }
@@ -59,6 +61,7 @@ const SHAPES: &[&str] = &[
 /// Near misses and edge values for the holes.
 const TOKENS: &[&str] = &[
     "",
+    "0",
     " 3 ",
     "-1",
     "0.5",
