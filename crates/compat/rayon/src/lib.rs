@@ -11,19 +11,22 @@
 //!   [`std::thread::scope`].
 //! * [`iter`] — order-preserving *indexed* parallel iterators over
 //!   vectors, slices and `Range<usize>`: `par_iter()` /
-//!   `into_par_iter()` → `map` → `collect` / `for_each`. Items are
-//!   distributed over a scoped worker pool through an atomic work
-//!   queue, and results are **merged back in index order**, so a
-//!   `collect` is byte-identical to the sequential equivalent no matter
-//!   how the OS schedules the workers.
+//!   `into_par_iter()` → `map` → `collect` / `for_each`. Items are cut
+//!   into contiguous chunks, about eight per worker; the workers of a
+//!   scoped pool take chunks from one shared queue, map each one
+//!   sequentially, and the chunk results are **concatenated in chunk
+//!   order**, so a `collect` is byte-identical to the sequential
+//!   equivalent no matter how the OS schedules the workers.
 //! * [`ThreadPoolBuilder`] — `num_threads(n).build_global()` pins the
 //!   worker count (also honoured: the `RAYON_NUM_THREADS` environment
 //!   variable); [`current_num_threads`] reports the effective value.
 //!
 //! Work stealing, nested pools, `par_bridge`, and unindexed iterators
-//! are intentionally out of scope: the workspace fans out coarse,
-//! independent scenario cells where a shared atomic cursor is within
-//! noise of a stealing deque.
+//! are intentionally out of scope. The workspace maps pure functions
+//! over slices: a few chunks per worker balance uneven items, a claim
+//! costs one lock per chunk rather than per item, and the merge orders
+//! a few chunks rather than every item, so items as cheap as a
+//! memoized phase-1 proposal still pay off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -499,6 +499,15 @@ impl RecallIndex {
     pub fn results_of(&self, peer: PeerId) -> &[(QueryId, u64)] {
         &self.peer_results[peer.index()]
     }
+
+    /// The sparse mass row of query `qid`: one [`MassCell`] per cluster
+    /// holding results for it, ascending by cluster id. The scan of
+    /// [`best_response`](crate::equilibrium::best_response) walks it
+    /// alongside its ascending candidates instead of searching it once
+    /// per candidate.
+    pub(crate) fn mass_cells(&self, qid: QueryId) -> &[MassCell] {
+        &self.mass_num[qid as usize]
+    }
 }
 
 /// One cell of a sparse mass row: cluster `cluster` holds `results =
@@ -506,10 +515,10 @@ impl RecallIndex {
 /// `holders` members with a nonzero count. `holders` sits in what would
 /// otherwise be padding after the `u32` cluster id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MassCell {
-    cluster: ClusterId,
+pub(crate) struct MassCell {
+    pub(crate) cluster: ClusterId,
     holders: u32,
-    results: u64,
+    pub(crate) results: u64,
 }
 
 // The holder count fills the former `(ClusterId, u64)` pair's padding;

@@ -110,8 +110,9 @@ fn split_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
 /// whatever the worker count.
 ///
 /// A few ranges per worker (not one) keep the tail balanced when ranges
-/// carry uneven work, while staying coarse enough that the shim's
-/// shared work queue is amortized away.
+/// carry uneven work. Four per worker is fewer than the eight chunks
+/// per worker the shim cuts its items into, so each shim chunk is a
+/// single range and the claim cost is a few locks per walk.
 pub fn map_ranges<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,

@@ -29,6 +29,23 @@ pub enum Op {
     ChurnJoin { to: u32, doc_syms: Vec<u32> },
     SetContent { peer: u32, doc_syms: Vec<u32> },
     SetWorkload { peer: u32, q_syms: Vec<u32> },
+    SetLongWorkload { peer: u32, skip: u32 },
+}
+
+/// Distinct queries in a long workload: more than the 16 a best-response
+/// scan gathers without a heap allocation.
+pub const LONG_WORKLOAD_MIN: usize = 17;
+
+/// The queries long workloads draw from, in a fixed order: every keyword
+/// and every pair of symbols over the documents' alphabet.
+fn symbol_queries() -> Vec<Query> {
+    let mut pool: Vec<Query> = (0..N_SYMS).map(|s| Query::keyword(Sym(s))).collect();
+    for a in 0..N_SYMS {
+        for b in a + 1..N_SYMS {
+            pool.push(Query::new(vec![Sym(a), Sym(b)]));
+        }
+    }
+    pool
 }
 
 /// A random script of up to `max_ops` operations over every mutation
@@ -49,6 +66,8 @@ pub fn arb_ops(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
                 .prop_map(|(peer, doc_syms)| Op::SetContent { peer, doc_syms }),
             (0u32..N_PEERS as u32, syms())
                 .prop_map(|(peer, q_syms)| Op::SetWorkload { peer, q_syms }),
+            (0u32..N_PEERS as u32, 0u32..32)
+                .prop_map(|(peer, skip)| Op::SetLongWorkload { peer, skip }),
         ],
         0..max_ops,
     )
@@ -163,6 +182,23 @@ pub fn apply(sys: &mut System, net: &mut SimNetwork, op: Op) {
                     // Conjunctions can be genuinely new queries.
                     w.add(Query::new(vec![Sym(s % N_SYMS), Sym((s + 1) % N_SYMS)]), 1);
                 }
+            }
+            sys.set_workload(peer, w);
+        }
+        Op::SetLongWorkload { peer, skip } => {
+            let peer = PeerId(peer % sys.overlay().n_slots() as u32);
+            let mut w = Workload::new();
+            // One conjunction per symbol that no document matches (none
+            // carries `N_SYMS`), so its result total is 0; in workload
+            // order each sits among the answerable queries of its symbol.
+            for a in 0..N_SYMS {
+                w.add(Query::new(vec![Sym(a), Sym(N_SYMS)]), 1);
+            }
+            let pool = symbol_queries();
+            let rest = LONG_WORKLOAD_MIN - N_SYMS as usize + skip as usize % 8;
+            for k in 0..rest {
+                let q = &pool[(skip as usize + k) % pool.len()];
+                w.add(q.clone(), 1 + (k as u64 % 3));
             }
             sys.set_workload(peer, w);
         }

@@ -5,6 +5,11 @@
 //! 1. every cost read through a [`SystemView`] — `pcost`, `pcost_current`,
 //!    `best_response`, `scost`, `wcost` — is **bit-identical** to the
 //!    same read through `&System` (the `RefCell`-backed lazy route), and
+//!    `best_response_with_chain`, which costs every candidate from one
+//!    gather of the peer's answerable queries, equals a scan over those
+//!    `pcost` reads on both routes: same cluster, gain bits and take
+//!    chain, with and without empty targets, for long workloads and with
+//!    unanswerable queries, and
 //! 2. a [`ProposalMemo`] lookup that reports *valid* re-emits a proposal
 //!    bit-identical to a fresh `best_response` — the soundness of the
 //!    epoch/mark validity gate under every mutation class.
@@ -16,11 +21,12 @@
 
 mod common;
 
-use common::{apply, arb_ops, arb_seed_syms, fixture};
+use common::{apply, arb_ops, arb_seed_syms, fixture, Op, LONG_WORKLOAD_MIN};
 use proptest::prelude::*;
+use recluster_core::equilibrium::COST_EPS;
 use recluster_core::{
-    best_response, pcost, pcost_current, scost, wcost, Proposal, ProposalMemo, RelocationStrategy,
-    SelfishStrategy, System,
+    best_response, best_response_with_chain, pcost, pcost_current, scost, wcost, Proposal,
+    ProposalMemo, RelocationStrategy, SelfishStrategy, System, SystemRead,
 };
 use recluster_overlay::SimNetwork;
 use recluster_types::{ClusterId, PeerId};
@@ -30,7 +36,12 @@ fn bits(p: Option<Proposal>) -> Option<(u32, u64)> {
     p.map(|p| (p.to.0, p.gain.to_bits()))
 }
 
-/// Every cost read through the view equals the `&System` route, bitwise.
+/// One expected scan result: cluster, gain bits and take chain.
+type Scan = (ClusterId, u64, Vec<ClusterId>);
+
+/// Every cost read through the view equals the `&System` route, bitwise,
+/// and on both routes every peer's `best_response_with_chain` equals a
+/// per-candidate scan over the `pcost`s read here.
 fn assert_view_equals_system(sys: &mut System) -> Result<(), TestCaseError> {
     let peers: Vec<PeerId> = sys.overlay().peers().collect();
     let cids: Vec<ClusterId> = sys.overlay().cluster_ids().collect();
@@ -49,6 +60,8 @@ fn assert_view_equals_system(sys: &mut System) -> Result<(), TestCaseError> {
             sys_pcosts.push(pcost(&*sys, p, c).to_bits());
         }
     }
+    let scans = reference_scans(sys, &peers, &sys_current, &sys_pcosts);
+    assert_scans_equal(&*sys, &peers, &scans, "system")?;
 
     // The same reads through one snapshot.
     let view = sys.view();
@@ -75,22 +88,83 @@ fn assert_view_equals_system(sys: &mut System) -> Result<(), TestCaseError> {
             k += 1;
         }
     }
+    assert_scans_equal(&view, &peers, &scans, "view")
+}
+
+/// The per-candidate scan over the `pcost`s read through `&System`
+/// (`pcosts` is peer-major over every cluster id), for every peer with
+/// `allow_empty` true, then false: `best_response`'s visit order
+/// (non-empty ids ascending, plus the first empty slot at its id
+/// position when admissible) and its take rule.
+fn reference_scans(sys: &System, peers: &[PeerId], current: &[u64], pcosts: &[u64]) -> Vec<Scan> {
+    let overlay = sys.overlay();
+    let n_clusters = overlay.cluster_ids().count();
+    let mut scans = Vec::new();
+    for allow_empty in [true, false] {
+        let mut candidates = overlay.non_empty_ids().to_vec();
+        if let Some(empty) = overlay.first_empty_cluster().filter(|_| allow_empty) {
+            let at = candidates.partition_point(|&c| c < empty);
+            candidates.insert(at, empty);
+        }
+        for (i, &p) in peers.iter().enumerate() {
+            let at = overlay.cluster_of(p).expect("live peer");
+            let current_cost = f64::from_bits(current[i]);
+            let (mut best, mut best_cost, mut gain) = (at, current_cost, 0.0);
+            let mut chain = Vec::new();
+            for &c in candidates.iter().filter(|&&c| c != at) {
+                let cost = f64::from_bits(pcosts[i * n_clusters + c.index()]);
+                if cost < best_cost - COST_EPS {
+                    (best, best_cost, gain) = (c, cost, current_cost - cost);
+                    chain.push(c);
+                }
+            }
+            scans.push((best, gain.to_bits(), chain));
+        }
+    }
+    scans
+}
+
+/// `best_response_with_chain` through `read` equals `expected`
+/// ([`reference_scans`]' order) for every peer.
+fn assert_scans_equal<S: SystemRead + ?Sized>(
+    read: &S,
+    peers: &[PeerId],
+    expected: &[Scan],
+    route: &str,
+) -> Result<(), TestCaseError> {
+    let runs = [true, false]
+        .into_iter()
+        .flat_map(|allow_empty| peers.iter().map(move |&p| (allow_empty, p)));
+    let mut chain = Vec::new();
+    for ((allow_empty, p), (cluster, gain, expected_chain)) in runs.zip(expected) {
+        let got = best_response_with_chain(read, p, allow_empty, &mut chain);
+        let at = format!("{route}: {p}, allow_empty={allow_empty}");
+        prop_assert_eq!(got.cluster, *cluster, "scan cluster, {}", at);
+        prop_assert_eq!(got.gain.to_bits(), *gain, "scan gain, {}", at);
+        prop_assert_eq!(&chain, expected_chain, "scan chain, {}", at);
+    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Property 1: `SystemView` cost reads are bit-equal to `System`'s
-    /// after every op of a random mutation script.
+    /// Property 1: `SystemView` cost reads are bit-equal to `System`'s,
+    /// and the scan equals the per-candidate scan, after every op of a
+    /// random mutation script. Peer 0 first takes a long workload, part
+    /// of it unanswerable, so every case covers both.
     #[test]
     fn view_reads_equal_system_reads_under_random_ops(
         docs in arb_seed_syms(),
         queries in arb_seed_syms(),
+        skip in 0u32..32,
         ops in arb_ops(30),
     ) {
         let mut sys = fixture(&docs, &queries);
         let mut net = SimNetwork::new();
+        assert_view_equals_system(&mut sys)?;
+        apply(&mut sys, &mut net, Op::SetLongWorkload { peer: 0, skip });
+        prop_assert!(sys.index().workload_of(PeerId(0)).len() >= LONG_WORKLOAD_MIN);
         assert_view_equals_system(&mut sys)?;
         for op in ops {
             apply(&mut sys, &mut net, op);

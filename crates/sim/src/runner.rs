@@ -16,6 +16,7 @@
 
 use rayon::prelude::*;
 use recluster_baselines::{NoMaintenance, RandomStrategy};
+use recluster_core::shard::should_shard;
 use recluster_core::{
     simulate_period_traffic, AltruisticStrategy, HybridStrategy, ObservedStats, ObservedStrategy,
     ProtocolConfig, ProtocolEngine, RelocationStrategy, RoutingReport, RunOutcome, SelfishStrategy,
@@ -174,7 +175,9 @@ pub fn run_protocol_observed(
 /// destination as the oracle strategy's proposal on the current state
 /// (both proposing nothing also counts as agreement) — the per-round
 /// decision-fidelity measure of the observed-mode reports. `1.0` for the
-/// null baselines, whose decisions ignore statistics entirely.
+/// null baselines, whose decisions ignore statistics entirely. Peers are
+/// checked on the rayon shim's pool once the peer count reaches
+/// [`shard_min`](recluster_core::shard::shard_min).
 pub fn decision_agreement(
     system: &mut System,
     kind: StrategyKind,
@@ -216,14 +219,19 @@ fn agreement_with<O: RelocationStrategy>(
     if peers.is_empty() {
         return 1.0;
     }
-    let agree = peers
-        .iter()
-        .filter(|&&p| {
-            let want = oracle.propose(&view, p, allow_empty).map(|pr| pr.to);
-            let got = observed.propose(&view, p, allow_empty).map(|pr| pr.to);
-            want == got
-        })
-        .count();
+    let agrees = |&p: &PeerId| -> usize {
+        let want = oracle.propose(&view, p, allow_empty).map(|pr| pr.to);
+        let got = observed.propose(&view, p, allow_empty).map(|pr| pr.to);
+        usize::from(want == got)
+    };
+    // A count does not depend on the order peers are visited in, so the
+    // pool cannot move the rate.
+    let agree: usize =
+        if oracle.sharded_phase1() && observed.sharded_phase1() && should_shard(peers.len()) {
+            peers.par_iter().map(agrees).sum()
+        } else {
+            peers.iter().map(agrees).sum()
+        };
     agree as f64 / peers.len() as f64
 }
 
