@@ -630,7 +630,7 @@ mod tests {
         // slot: a fresh joiner must not leave the table short.
         let mut net = recluster_overlay::SimNetwork::new();
         let obs = crate::tracker::simulate_period(&sys, &mut net);
-        assert!(obs.of(p).is_empty());
+        assert_eq!(obs.of(p).len(), 0);
     }
 
     #[test]

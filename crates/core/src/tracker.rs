@@ -12,6 +12,15 @@
 //! coincide with the oracle values computed from the [`RecallIndex`]
 //! (property-tested in `tests/`).
 //!
+//! Every peer that issues a query observes the same cid annotations for
+//! it (content is fixed within the period), so [`PeriodObservations`]
+//! stores each distinct query's evaluation once. A peer's observations
+//! are a row of `(query, weight, own results)` entries pointing at those
+//! shared evaluations, and its served credit is a row of
+//! `(requesting cluster, credit)` pairs; all peers' rows sit back to
+//! back in flat arrays. [`PeriodObservations::of`] reads a peer's row as
+//! [`QueryObservation`] views.
+//!
 //! # Examples
 //!
 //! A peer whose query is answered by another cluster observes exactly
@@ -31,13 +40,13 @@
 //!
 //! let mut net = SimNetwork::new();
 //! let obs = simulate_period(&sys, &mut net);
-//! let record = &obs.of(PeerId(0))[0];
+//! let record = obs.of(PeerId(0)).next().expect("p0 issues one query");
 //! assert_eq!(record.cluster_count(ClusterId(1)), 1);
 //! assert_eq!(record.total, 1);
 //! assert!(net.total_messages() > 0);
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::ops::Range;
 
 use recluster_overlay::{
@@ -52,48 +61,146 @@ use crate::equilibrium::COST_EPS;
 use crate::system::System;
 use crate::view::SystemRead;
 
-/// One peer's observations about one of its distinct queries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryObservation {
+/// One peer's observations about one of its distinct queries: a view
+/// into a [`PeriodObservations`], which stores the query and its cid
+/// annotations once for every peer that issued it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueryObservation<'a> {
     /// The query.
-    pub query: Query,
+    pub query: &'a Query,
     /// Relative frequency of the query in the peer's workload.
     pub weight: f64,
     /// Results received per answering cluster (cid annotations), sorted
-    /// by cluster id with no duplicates — a compact sorted vector
-    /// instead of a tree map, read from the query's mass cells.
-    pub per_cluster: Vec<(ClusterId, u64)>,
+    /// by cluster id with no duplicates, read from the query's mass
+    /// cells.
+    pub per_cluster: &'a [(ClusterId, u64)],
     /// Total results received across all clusters.
     pub total: u64,
     /// Results the peer itself holds for the query (known locally).
     pub own: u64,
 }
 
-impl QueryObservation {
+impl QueryObservation<'_> {
     /// Results received from cluster `cid` (zero when none).
     pub fn cluster_count(&self, cid: ClusterId) -> u64 {
-        self.per_cluster
-            .binary_search_by_key(&cid, |&(c, _)| c)
-            .map(|i| self.per_cluster[i].1)
-            .unwrap_or(0)
+        cluster_count(self.per_cluster, cid).unwrap_or(0)
     }
 }
 
+/// The value of `cid` in an ascending `(cluster, value)` row.
+fn cluster_count<T: Copy>(row: &[(ClusterId, T)], cid: ClusterId) -> Option<T> {
+    row.binary_search_by_key(&cid, |&(c, _)| c)
+        .ok()
+        .map(|i| row[i].1)
+}
+
 /// Observations accumulated by all peers over one period `T`.
+///
+/// Each distinct query the period evaluated is stored once, with its
+/// cid annotations in one flat cell array; per peer there is one row of
+/// query records and one row of served credit. Departed slots have
+/// empty rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeriodObservations {
-    /// Per peer: one record per distinct query in its workload.
-    observations: Vec<Vec<QueryObservation>>,
-    /// Per peer: demand-weighted results served to each requesting
-    /// cluster's members (contribution numerators). Sparse — a peer
-    /// serves few distinct clusters, and a dense peers × `Cmax` matrix
-    /// would be quadratic in system size.
-    served: Vec<BTreeMap<ClusterId, f64>>,
-    /// Per peer: total demand-weighted results served.
+    /// The distinct queries the period evaluated, ascending by qid.
+    queries: Vec<EvaluatedQuery>,
+    /// Every evaluated query's `(cluster, results)` annotations, each
+    /// query's run ascending by cluster id.
+    cells: Vec<(ClusterId, u64)>,
+    /// Per slot: one record per distinct query in its workload, in
+    /// workload order.
+    observations: Rows<ObservationRow>,
+    /// Per slot: demand-weighted results served to each requesting
+    /// cluster's members (contribution numerators), ascending by
+    /// cluster. Sparse: a peer serves few distinct clusters, and a dense
+    /// peers × `Cmax` matrix would be quadratic in system size.
+    served: Rows<(ClusterId, f64)>,
+    /// Per slot: total demand-weighted results served.
     served_total: Vec<f64>,
     /// Snapshot of cluster sizes (peers learn them from representatives).
     sizes: Vec<usize>,
     n_peers: usize,
+}
+
+/// One distinct query's evaluation in a period, shared by every peer
+/// that issued it.
+#[derive(Debug, Clone, PartialEq)]
+struct EvaluatedQuery {
+    query: Query,
+    /// Total results of the evaluation.
+    total: u64,
+    /// Its run of `PeriodObservations::cells`.
+    cells: Range<usize>,
+}
+
+/// One peer's record of one of its distinct queries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ObservationRow {
+    /// Position of the query in `PeriodObservations::queries`.
+    query: u32,
+    /// Relative frequency of the query in the peer's workload.
+    weight: f64,
+    /// Results the peer itself holds for the query.
+    own: u64,
+}
+
+/// Per-slot rows stored back to back in one array: slot `s` owns
+/// `items[offsets[s]..offsets[s + 1]]`. A million peers' rows are two
+/// allocations, not a million.
+#[derive(Debug, Clone, PartialEq)]
+struct Rows<T> {
+    items: Vec<T>,
+    /// One more offset than there are slots, ascending from 0.
+    offsets: Vec<usize>,
+}
+
+impl<T> Rows<T> {
+    fn new() -> Self {
+        Rows {
+            items: Vec::new(),
+            offsets: vec![0],
+        }
+    }
+
+    fn n_slots(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The row of `slot`; `None` past the last slot.
+    fn get(&self, slot: usize) -> Option<&[T]> {
+        let end = *self.offsets.get(slot + 1)?;
+        Some(&self.items[self.offsets[slot]..end])
+    }
+
+    /// The row of `slot`.
+    ///
+    /// # Panics
+    /// Panics past the last slot.
+    fn row(&self, slot: usize) -> &[T] {
+        &self.items[self.offsets[slot]..self.offsets[slot + 1]]
+    }
+
+    /// Ends the current slot's row: it holds the items pushed since the
+    /// previous call.
+    fn end_row(&mut self) {
+        self.offsets.push(self.items.len());
+    }
+
+    /// Appends `other`'s rows after this one's.
+    fn append(&mut self, other: Rows<T>) {
+        let base = self.items.len();
+        self.items.extend(other.items);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&end| base + end));
+    }
+
+    /// The same rows with every item mapped through `f`.
+    fn map<U>(&self, f: impl FnMut(&T) -> U) -> Rows<U> {
+        Rows {
+            items: self.items.iter().map(f).collect(),
+            offsets: self.offsets.clone(),
+        }
+    }
 }
 
 /// What routed query evaluation did over one period: the forwards it
@@ -254,51 +361,19 @@ pub fn simulate_period_routed(
     mode: RoutingMode,
 ) -> (PeriodObservations, RoutingReport) {
     let core = run_period_core(system, net, mode, true);
-    let overlay = system.overlay();
-    let index = system.index();
-    let mut observations: Vec<Vec<QueryObservation>> = vec![Vec::new(); overlay.n_slots()];
-
-    // Fan the shared evaluations out to every live holder, in the exact
-    // (peer id, workload order) the per-requester walk produced.
-    for requester in overlay.peers() {
-        let workload = &system.workloads()[requester.index()];
-        for (query, _count) in workload.iter() {
-            let qid = index.qid(query).expect("workload queries are indexed") as usize;
-            let eval = core.evals[qid]
-                .as_ref()
-                .expect("a live holder implies the query was evaluated");
-            let own = index.result(qid as QueryId, requester);
-            let weight = workload.frequency(query);
-            observations[requester.index()].push(QueryObservation {
-                query: query.clone(),
-                weight,
-                per_cluster: eval.per_cluster.clone(),
-                total: eval.total,
-                own,
-            });
-        }
-    }
-
     (
-        PeriodObservations {
-            observations,
-            served: core.served,
-            served_total: core.served_total,
-            sizes: overlay.sizes(),
-            n_peers: overlay.n_peers(),
-        },
+        core.observations
+            .expect("the observation walk collects observations"),
         core.report,
     )
 }
 
 /// Traffic-only period: charges `net` and returns the [`RoutingReport`]
 /// **bit-identical** to [`simulate_period_routed`] under the same state,
-/// while skipping the per-peer observation fan-out and the served-credit
-/// accumulation entirely. This is what the churn driver's query-traffic
-/// measurement wants — at a million peers, materializing per-requester
-/// observation records (one per distinct workload query per peer)
-/// dominates both the allocation volume and the peak RSS of a period,
-/// and the oracle repair path never reads them.
+/// while skipping the per-peer observation rows and the served-credit
+/// pass entirely. This is what the churn driver's query-traffic
+/// measurement wants: the oracle repair path never reads observations,
+/// so building their per-peer rows would be wasted work.
 ///
 /// Both walks share one per-query target loop: the traffic a target
 /// cluster costs (one forward, one return per answering member) and the
@@ -314,9 +389,9 @@ pub fn simulate_period_traffic(
 }
 
 /// One distinct query's shared evaluation — identical for every holder
-/// (content is fixed within the period). The per-peer fan-out copies
-/// its counts into each holder's observation, and the served pass reads
-/// its routed clusters and demand buckets.
+/// (content is fixed within the period). Its counts become the query's
+/// run of `PeriodObservations::cells`, and the served pass reads its
+/// routed clusters and demand buckets.
 struct QueryEval {
     /// Per-answering-cluster result counts, ascending by cluster id
     /// (empty on the traffic-only walk).
@@ -383,6 +458,31 @@ struct PeriodCtx<'a> {
     /// Whether the walk collects observations (per-cluster counts and
     /// served credit) or only charges traffic.
     collect: bool,
+}
+
+/// One contiguous slot range's share of a period's per-peer rows: what
+/// the slot pass produces on one worker, concatenated in range order.
+struct SlotRows {
+    observations: Rows<ObservationRow>,
+    served: Rows<(ClusterId, f64)>,
+    served_total: Vec<f64>,
+}
+
+impl SlotRows {
+    fn new() -> Self {
+        SlotRows {
+            observations: Rows::new(),
+            served: Rows::new(),
+            served_total: Vec::new(),
+        }
+    }
+
+    /// Appends `other`'s rows, the next slot range, after this one's.
+    fn append(&mut self, other: SlotRows) {
+        self.observations.append(other.observations);
+        self.served.append(other.served);
+        self.served_total.extend(other.served_total);
+    }
 }
 
 impl PeriodCtx<'_> {
@@ -484,39 +584,127 @@ impl PeriodCtx<'_> {
         })
     }
 
-    /// The served credit of the peer at `slot` — the Eq. 6 numerators
-    /// per requesting cluster, weighted by query occurrences — and its
-    /// total. Pure in `slot`, like [`PeriodCtx::eval_query`].
+    /// The observations of a whole period from its per-query `evals`
+    /// (indexed by qid): one slot pass builds every peer's rows (sharded
+    /// into slot ranges when `shard`), then each evaluation moves into
+    /// the shared query records.
+    fn observe(&self, evals: Vec<Option<QueryEval>>, shard: bool) -> PeriodObservations {
+        // Each evaluated query's position among the period's records.
+        let mut n_evaluated = 0u32;
+        let position: Vec<Option<u32>> = evals
+            .iter()
+            .map(|eval| {
+                eval.as_ref().map(|_| {
+                    n_evaluated += 1;
+                    n_evaluated - 1
+                })
+            })
+            .collect();
+        let mut parts = walk(self.overlay.n_slots(), shard, |range| {
+            self.slot_rows(range, &evals, &position)
+        })
+        .into_iter();
+        let mut rows = parts.next().unwrap_or_else(SlotRows::new);
+        for part in parts {
+            rows.append(part);
+        }
+
+        let mut queries = Vec::with_capacity(n_evaluated as usize);
+        let mut cells = Vec::new();
+        for (qid, eval) in evals.into_iter().enumerate() {
+            let Some(eval) = eval else { continue };
+            let start = cells.len();
+            cells.extend(eval.per_cluster);
+            queries.push(EvaluatedQuery {
+                query: self.index.queries()[qid].clone(),
+                total: eval.total,
+                cells: start..cells.len(),
+            });
+        }
+        PeriodObservations {
+            queries,
+            cells,
+            observations: rows.observations,
+            served: rows.served,
+            served_total: rows.served_total,
+            sizes: self.overlay.sizes(),
+            n_peers: self.overlay.n_peers(),
+        }
+    }
+
+    /// The rows of every slot in `range`: a live peer's observation row
+    /// (its workload's `(qid, weight)` pairs in workload order, pointed
+    /// at the query's `position`, with its own result count) and its
+    /// served credit. Pure in `range`, like [`PeriodCtx::eval_query`].
+    /// Credit accumulates in a dense per-cluster buffer with a touched
+    /// list, both reset after each peer.
+    fn slot_rows(
+        &self,
+        range: Range<usize>,
+        evals: &[Option<QueryEval>],
+        position: &[Option<u32>],
+    ) -> SlotRows {
+        let mut out = SlotRows::new();
+        let mut credit = vec![0.0; self.overlay.cmax()];
+        let mut touched = Vec::new();
+        for slot in range {
+            let peer = PeerId::from_index(slot);
+            let mut total = 0.0;
+            // Departed peers issue and answer nothing: empty rows.
+            if let Some(home) = self.overlay.cluster_of(peer) {
+                for &(qid, weight) in self.index.workload_of(peer) {
+                    out.observations.items.push(ObservationRow {
+                        query: position[qid as usize]
+                            .expect("a live holder implies the query was evaluated"),
+                        weight,
+                        own: self.index.result(qid, peer),
+                    });
+                }
+                total = self.served_by(slot, home, evals, &mut credit, &mut touched);
+                touched.sort_unstable();
+                for &ci in &touched {
+                    out.served
+                        .items
+                        .push((ClusterId::from_index(ci), credit[ci]));
+                    credit[ci] = 0.0;
+                }
+                touched.clear();
+            }
+            out.observations.end_row();
+            out.served.end_row();
+            out.served_total.push(total);
+        }
+        out
+    }
+
+    /// Credits the live peer at `slot` in `home` for what it served —
+    /// the Eq. 6 numerators per requesting cluster, weighted by query
+    /// occurrences — into `credit` (indexed by cluster, with each newly
+    /// credited cluster added to `touched`), and returns its total.
     ///
-    /// A live peer in `home` answers every routed query it holds results
-    /// for: its [`RecallIndex::results_of`] row, minus the queries with
-    /// no live demand and those the route never sent to `home` (a lossy
+    /// The peer answers every routed query it holds results for: its
+    /// [`RecallIndex::results_of`] row, minus the queries with no live
+    /// demand and those the route never sent to `home` (a lossy
     /// summary). Results a peer finds in its own store are not "sent"
     /// and carry no contribution credit, so its own occurrences leave
     /// its home-cluster bucket. The row ascends by qid and the buckets
     /// by cluster, which is the order a qid-order merge over answering
-    /// peers credits this peer in: the fold is bit-identical to it by
-    /// construction, not only by integer exactness.
+    /// peers credits this peer in: each cluster's sum is bit-identical
+    /// to it by construction, not only by integer exactness.
     fn served_by(
         &self,
         slot: usize,
+        home: ClusterId,
         evals: &[Option<QueryEval>],
-    ) -> (BTreeMap<ClusterId, f64>, f64) {
-        let mut served = BTreeMap::new();
+        credit: &mut [f64],
+        touched: &mut Vec<usize>,
+    ) -> f64 {
         let mut total = 0.0;
-        let peer = PeerId::from_index(slot);
-        let Some(home) = self.overlay.cluster_of(peer) else {
-            return (served, total); // departed peers answer nothing
-        };
-        for &(qid, count) in self.index.results_of(peer) {
+        for &(qid, count) in self.index.results_of(PeerId::from_index(slot)) {
             let Some(eval) = &evals[qid as usize] else {
                 continue; // no live demand: the period never routes it
             };
-            if eval
-                .per_cluster
-                .binary_search_by_key(&home, |&(c, _)| c)
-                .is_err()
-            {
+            if cluster_count(&eval.per_cluster, home).is_none() {
                 continue; // not routed to `home`
             }
             for &(ci, bucket) in &eval.demand_buckets {
@@ -525,25 +713,29 @@ impl PeriodCtx<'_> {
                     demand -= self.workloads[slot].count(&self.index.queries()[qid as usize]);
                 }
                 if demand > 0 {
-                    let credit = demand as f64 * count as f64;
-                    *served.entry(ClusterId::from_index(ci)).or_insert(0.0) += credit;
-                    total += credit;
+                    // Result counts are ≥ 1, so every credit is positive
+                    // and a zero cell is one this peer has not credited.
+                    let amount = demand as f64 * count as f64;
+                    if credit[ci] == 0.0 {
+                        touched.push(ci);
+                    }
+                    credit[ci] += amount;
+                    total += amount;
                 }
             }
         }
-        (served, total)
+        total
     }
 }
 
 /// The shared period walk behind both public variants: evaluate every
 /// distinct query (sharded across the rayon shim when the system is
 /// large) and fold the packets into the network and report in one
-/// sequential qid-order merge; when `collect`, keep the per-query evals
-/// and credit every live peer for what it served.
+/// sequential qid-order merge; when `collect`, turn the per-query evals
+/// into the period's observations and credit every live peer for what
+/// it served.
 struct PeriodCore {
-    evals: Vec<Option<QueryEval>>,
-    served: Vec<BTreeMap<ClusterId, f64>>,
-    served_total: Vec<f64>,
+    observations: Option<PeriodObservations>,
     report: RoutingReport,
 }
 
@@ -581,15 +773,19 @@ fn run_period_core(
 
     // Each distinct query's evaluation reads only period-constant state,
     // so the walk shards into contiguous qid ranges with per-range
-    // buffers; the served pass shards into slot ranges. The threshold
+    // buffers; the slot pass shards into slot ranges. The threshold
     // keys on the *slot* count for both: the demand bucketing visits
     // every holder of a query, so a small distinct-query set over a huge
     // overlay is exactly the case worth sharding.
     let shard = crate::shard::should_shard(n_slots);
     let packets = walk(n_queries, shard, |range| {
         let mut bufs = EvalBufs::new(cmax);
-        range.map(|qid| ctx.eval_query(qid, &mut bufs)).collect()
-    });
+        range
+            .map(|qid| ctx.eval_query(qid, &mut bufs))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten();
 
     let mut report = RoutingReport {
         mode,
@@ -614,41 +810,59 @@ fn run_period_core(
         }
     }
 
-    let served = if collect {
-        walk(n_slots, shard, |range| {
-            range.map(|slot| ctx.served_by(slot, &evals)).collect()
-        })
-    } else {
-        Vec::new()
-    };
-    let (served, served_total) = served.into_iter().unzip();
-
     PeriodCore {
-        evals,
-        served,
-        served_total,
+        observations: collect.then(|| ctx.observe(evals, shard)),
         report,
     }
 }
 
-/// Maps `f` over `0..len` — across contiguous ranges of the rayon shim's
-/// pool when `shard`, else as one range. Range results concatenate in
-/// index order, so both forms are byte-identical (see [`crate::shard`]).
-fn walk<T: Send>(len: usize, shard: bool, f: impl Fn(Range<usize>) -> Vec<T> + Sync) -> Vec<T> {
+/// Runs `f` over `0..len` — over contiguous ranges of the rayon shim's
+/// pool when `shard`, else as one range — and returns the per-range
+/// results in index order, so both forms concatenate to the same bytes
+/// (see [`crate::shard`]).
+fn walk<R: Send>(len: usize, shard: bool, f: impl Fn(Range<usize>) -> R + Sync) -> Vec<R> {
     if shard {
         crate::shard::map_ranges(len, f)
-            .into_iter()
-            .flatten()
-            .collect()
     } else {
-        f(0..len)
+        vec![f(0..len)]
     }
 }
 
 impl PeriodObservations {
-    /// The raw query observations of a peer.
-    pub fn of(&self, peer: PeerId) -> &[QueryObservation] {
-        &self.observations[peer.index()]
+    /// The query observations of a peer, one per distinct query of its
+    /// workload in workload order (none for a departed peer).
+    ///
+    /// # Panics
+    /// Panics if `peer` has no slot in the observed overlay.
+    pub fn of(&self, peer: PeerId) -> impl ExactSizeIterator<Item = QueryObservation<'_>> + '_ {
+        self.observations.row(peer.index()).iter().map(|row| {
+            let evaluated = &self.queries[row.query as usize];
+            QueryObservation {
+                query: &evaluated.query,
+                weight: row.weight,
+                per_cluster: &self.cells[evaluated.cells.clone()],
+                total: evaluated.total,
+                own: row.own,
+            }
+        })
+    }
+
+    /// The demand-weighted results `peer` served to each requesting
+    /// cluster's members (the contribution numerators of Eq. 6),
+    /// ascending by cluster, with only the clusters it credited.
+    ///
+    /// # Panics
+    /// Panics if `peer` has no slot in the observed overlay.
+    pub fn served(&self, peer: PeerId) -> &[(ClusterId, f64)] {
+        self.served.row(peer.index())
+    }
+
+    /// The total demand-weighted results `peer` served.
+    ///
+    /// # Panics
+    /// Panics if `peer` has no slot in the observed overlay.
+    pub fn served_total(&self, peer: PeerId) -> f64 {
+        self.served_total[peer.index()]
     }
 }
 
@@ -673,14 +887,23 @@ pub struct ObservedStats {
     folded: Option<FoldedObservations>,
 }
 
-/// The decayed counterpart of [`PeriodObservations`]: identical layout
-/// and iteration order, with `f64` counts so fractional decayed values
-/// are representable. Integer counts below 2⁵³ convert exactly, so the
-/// `decay = 0` snapshot loses nothing.
+/// The decayed counterpart of [`PeriodObservations`]: per-slot rows in
+/// the same order, over one flat array of `f64` cells so fractional
+/// decayed counts are representable. Integer counts below 2⁵³ convert
+/// exactly, so the `decay = 0` snapshot loses nothing; there every row
+/// of a query shares the query's cells.
 #[derive(Debug, Clone, PartialEq)]
 struct FoldedObservations {
-    observations: Vec<Vec<FoldedQuery>>,
-    served: Vec<BTreeMap<ClusterId, f64>>,
+    /// The newest period's evaluated queries, which rows point at; the
+    /// next decayed fold matches previous rows by these.
+    queries: Vec<Query>,
+    /// Per slot: one decayed record per distinct query of the newest
+    /// period's workload.
+    observations: Rows<FoldedRow>,
+    /// Every row's decayed `(cluster, results)` counts, each row's run
+    /// ascending by cluster id.
+    cells: Vec<(ClusterId, f64)>,
+    served: Rows<(ClusterId, f64)>,
     served_total: Vec<f64>,
     sizes: Vec<usize>,
     n_peers: usize,
@@ -688,23 +911,16 @@ struct FoldedObservations {
 
 /// One peer's decayed observation record for one distinct query.
 #[derive(Debug, Clone, PartialEq)]
-struct FoldedQuery {
-    query: Query,
+struct FoldedRow {
+    /// Position of the query in `FoldedObservations::queries`.
+    query: u32,
     /// Relative frequency in the peer's *current* workload (frequencies
     /// describe the present workload; only result counts are decayed).
     weight: f64,
-    per_cluster: Vec<(ClusterId, f64)>,
     total: f64,
     own: f64,
-}
-
-impl FoldedQuery {
-    fn cluster_count(&self, cid: ClusterId) -> f64 {
-        self.per_cluster
-            .binary_search_by_key(&cid, |&(c, _)| c)
-            .map(|i| self.per_cluster[i].1)
-            .unwrap_or(0.0)
-    }
+    /// Its run of `FoldedObservations::cells`.
+    cells: Range<usize>,
 }
 
 impl ObservedStats {
@@ -734,57 +950,18 @@ impl ObservedStats {
     /// With `decay = 0` (or on the first period) the state becomes a
     /// literal snapshot of `period`. Otherwise every count is updated as
     /// `decay · old + (1 − decay) · new`, over the *current* workload's
-    /// distinct queries: a query the peer no longer issues is dropped
+    /// distinct queries, each matched to the peer's previous record of
+    /// the same [`Query`]: a query the peer no longer issues is dropped
     /// (its weight is zero anyway), a brand-new query starts from an
     /// implicit zero history, and a cluster that stopped answering keeps
-    /// a decaying memory. Cluster sizes and `|P|` always snapshot the
-    /// newest period — membership estimates track the present overlay.
+    /// a decaying memory. Cluster sizes and `|P|` are not decayed: they
+    /// are the newest period's snapshot, taken when it was observed, and
+    /// moves made since do not change them.
     pub fn absorb(&mut self, period: &PeriodObservations) {
         self.periods += 1;
-        if self.decay == 0.0 || self.folded.is_none() {
-            self.folded = Some(FoldedObservations::snapshot(period));
-            return;
-        }
-        let old = self.folded.as_ref().expect("checked above");
-        let lambda = self.decay;
-        let keep = 1.0 - lambda;
-        let mut observations = Vec::with_capacity(period.observations.len());
-        for (slot, records) in period.observations.iter().enumerate() {
-            let previous = old.observations.get(slot).map(Vec::as_slice).unwrap_or(&[]);
-            let by_query: BTreeMap<&Query, &FoldedQuery> =
-                previous.iter().map(|f| (&f.query, f)).collect();
-            let mut folded = Vec::with_capacity(records.len());
-            for obs in records {
-                let prev = by_query.get(&obs.query).copied();
-                folded.push(fold_query(prev, obs, lambda, keep));
-            }
-            observations.push(folded);
-        }
-        // Served credit is kept per *slot*, departed ones included, so
-        // every slot the observations cover has a contribution row.
-        let n_slots = period.served.len();
-        let mut served = Vec::with_capacity(n_slots);
-        let mut served_total = Vec::with_capacity(n_slots);
-        for slot in 0..n_slots {
-            let mut map: BTreeMap<ClusterId, f64> = period.served[slot]
-                .iter()
-                .map(|(&c, &v)| (c, keep * v))
-                .collect();
-            if let Some(prev) = old.served.get(slot) {
-                for (&c, &v) in prev {
-                    *map.entry(c).or_insert(0.0) += lambda * v;
-                }
-            }
-            served.push(map);
-            let prev_total = old.served_total.get(slot).copied().unwrap_or(0.0);
-            served_total.push(lambda * prev_total + keep * period.served_total[slot]);
-        }
-        self.folded = Some(FoldedObservations {
-            observations,
-            served,
-            served_total,
-            sizes: period.sizes.clone(),
-            n_peers: period.n_peers,
+        self.folded = Some(match &self.folded {
+            Some(old) if self.decay != 0.0 => old.fold(period, self.decay),
+            _ => FoldedObservations::snapshot(period),
         });
     }
 
@@ -792,7 +969,7 @@ impl ObservedStats {
     /// before any absorbed period and for a peer that joined after the
     /// last one — a peer without observations has nothing to estimate
     /// from.
-    fn records(&self, peer: PeerId) -> Option<(&FoldedObservations, &[FoldedQuery])> {
+    fn records(&self, peer: PeerId) -> Option<(&FoldedObservations, &[FoldedRow])> {
         let folded = self.folded.as_ref()?;
         let records = folded.observations.get(peer.index())?;
         Some((folded, records))
@@ -839,11 +1016,7 @@ impl ObservedStats {
         let total = self.served_total(peer);
         match &self.folded {
             Some(folded) if total != 0.0 => {
-                folded.served[peer.index()]
-                    .get(&cid)
-                    .copied()
-                    .unwrap_or(0.0)
-                    / total
+                cluster_count(folded.served.row(peer.index()), cid).unwrap_or(0.0) / total
             }
             _ => 0.0,
         }
@@ -905,7 +1078,7 @@ impl FoldedObservations {
     /// peer's `records` — see [`ObservedStats::estimated_pcost`].
     fn pcost<S: SystemRead + ?Sized>(
         &self,
-        records: &[FoldedQuery],
+        records: &[FoldedRow],
         system: &S,
         cid: ClusterId,
         currently_in: Option<ClusterId>,
@@ -919,7 +1092,7 @@ impl FoldedObservations {
             if obs.total == 0.0 {
                 continue;
             }
-            let mut inside = obs.cluster_count(cid);
+            let mut inside = cluster_count(&self.cells[obs.cells.clone()], cid).unwrap_or(0.0);
             if !in_cluster {
                 inside += obs.own;
             }
@@ -930,63 +1103,145 @@ impl FoldedObservations {
     }
 
     /// A literal (lossless) copy of one period: `u64` counts convert to
-    /// `f64` exactly for any realistic result volume (< 2⁵³).
+    /// `f64` exactly for any realistic result volume (< 2⁵³). The cells
+    /// convert once per distinct query, and every row keeps pointing at
+    /// its query's run.
     fn snapshot(period: &PeriodObservations) -> Self {
         FoldedObservations {
-            observations: period
-                .observations
-                .iter()
-                .map(|records| {
-                    records
-                        .iter()
-                        .map(|obs| FoldedQuery {
-                            query: obs.query.clone(),
-                            weight: obs.weight,
-                            per_cluster: obs
-                                .per_cluster
-                                .iter()
-                                .map(|&(c, v)| (c, v as f64))
-                                .collect(),
-                            total: obs.total as f64,
-                            own: obs.own as f64,
-                        })
-                        .collect()
-                })
-                .collect(),
+            queries: period.queries.iter().map(|q| q.query.clone()).collect(),
+            observations: period.observations.map(|row| {
+                let evaluated = &period.queries[row.query as usize];
+                FoldedRow {
+                    query: row.query,
+                    weight: row.weight,
+                    total: evaluated.total as f64,
+                    own: row.own as f64,
+                    cells: evaluated.cells.clone(),
+                }
+            }),
+            cells: period.cells.iter().map(|&(c, v)| (c, v as f64)).collect(),
             served: period.served.clone(),
             served_total: period.served_total.clone(),
             sizes: period.sizes.clone(),
             n_peers: period.n_peers,
         }
     }
+
+    /// EMA-folds `period` into this decayed history with retention
+    /// `lambda`: see [`ObservedStats::absorb`]. Every count becomes
+    /// `lambda · old + (1 − lambda) · new`, where a missing side is an
+    /// implicit zero; the weight snaps to the current workload frequency.
+    fn fold(&self, period: &PeriodObservations, lambda: f64) -> Self {
+        let keep = 1.0 - lambda;
+        // Each new query's position among the previous period's, by
+        // `Query`: the match a peer makes between its records.
+        let old_position: HashMap<&Query, u32> = self.queries.iter().zip(0..).collect();
+        let previous: Vec<Option<u32>> = period
+            .queries
+            .iter()
+            .map(|q| old_position.get(&q.query).copied())
+            .collect();
+        // Per previous query: its row in the current slot's history.
+        let mut row_of: Vec<Option<usize>> = vec![None; self.queries.len()];
+        let mut observations = Rows::new();
+        let mut cells = Vec::new();
+        for slot in 0..period.observations.n_slots() {
+            let history = self.observations.get(slot).unwrap_or(&[]);
+            for (i, row) in history.iter().enumerate() {
+                row_of[row.query as usize] = Some(i);
+            }
+            for row in period.observations.row(slot) {
+                let evaluated = &period.queries[row.query as usize];
+                let prev = previous[row.query as usize]
+                    .and_then(|q| row_of[q as usize])
+                    .map(|i| &history[i]);
+                let start = cells.len();
+                fold_row(
+                    prev.map_or(&[][..], |p| &self.cells[p.cells.clone()]),
+                    &period.cells[evaluated.cells.clone()],
+                    |v| v as f64,
+                    lambda,
+                    &mut cells,
+                );
+                let (total, own) = prev.map_or((0.0, 0.0), |p| (p.total, p.own));
+                observations.items.push(FoldedRow {
+                    query: row.query,
+                    weight: row.weight,
+                    total: lambda * total + keep * evaluated.total as f64,
+                    own: lambda * own + keep * row.own as f64,
+                    cells: start..cells.len(),
+                });
+            }
+            for row in history {
+                row_of[row.query as usize] = None;
+            }
+            observations.end_row();
+        }
+        // Served credit is kept per *slot*, departed ones included, so
+        // every slot the observations cover has a contribution row.
+        let mut served = Rows::new();
+        let mut served_total = Vec::with_capacity(period.served.n_slots());
+        for slot in 0..period.served.n_slots() {
+            fold_row(
+                self.served.get(slot).unwrap_or(&[]),
+                period.served.row(slot),
+                |v| v,
+                lambda,
+                &mut served.items,
+            );
+            served.end_row();
+            let prev_total = self.served_total.get(slot).copied().unwrap_or(0.0);
+            served_total.push(lambda * prev_total + keep * period.served_total[slot]);
+        }
+        FoldedObservations {
+            queries: period.queries.iter().map(|q| q.query.clone()).collect(),
+            observations,
+            cells,
+            served,
+            served_total,
+            sizes: period.sizes.clone(),
+            n_peers: period.n_peers,
+        }
+    }
 }
 
-/// EMA-folds one query's new observation into its decayed history
-/// (`None`: a brand-new query, an implicit zero history — adding the
-/// zeros is exact): every count becomes `lambda · old + keep · new`
-/// over the union of answering clusters; the weight snaps to the
-/// current workload frequency.
-fn fold_query(
-    prev: Option<&FoldedQuery>,
-    obs: &QueryObservation,
+/// EMA-merges one ascending `(cluster, count)` row into its decayed
+/// history `old` (also ascending) and appends the union to `out`,
+/// ascending: a cluster in both rows gets `lambda · old + keep · new`
+/// (`keep = 1 − lambda`), a cluster in one row only gets that row's
+/// term. Leaving out the missing side's zero term is exact, since every
+/// term is non-negative.
+fn fold_row<N: Copy>(
+    old: &[(ClusterId, f64)],
+    new: &[(ClusterId, N)],
+    value: impl Fn(N) -> f64,
     lambda: f64,
-    keep: f64,
-) -> FoldedQuery {
-    let mut per_cluster: BTreeMap<ClusterId, f64> = prev
-        .map_or(&[][..], |p| &p.per_cluster)
-        .iter()
-        .map(|&(c, v)| (c, lambda * v))
-        .collect();
-    for &(c, v) in &obs.per_cluster {
-        *per_cluster.entry(c).or_insert(0.0) += keep * v as f64;
-    }
-    let (total, own) = prev.map_or((0.0, 0.0), |p| (p.total, p.own));
-    FoldedQuery {
-        query: obs.query.clone(),
-        weight: obs.weight,
-        per_cluster: per_cluster.into_iter().collect(),
-        total: lambda * total + keep * obs.total as f64,
-        own: lambda * own + keep * obs.own as f64,
+    out: &mut Vec<(ClusterId, f64)>,
+) {
+    let keep = 1.0 - lambda;
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let cell = match (old.get(i), new.get(j)) {
+            (None, None) => break,
+            (Some(&(c, o)), Some(&(n_c, _))) if c < n_c => {
+                i += 1;
+                (c, lambda * o)
+            }
+            (Some(&(c, o)), None) => {
+                i += 1;
+                (c, lambda * o)
+            }
+            (Some(&(c, o)), Some(&(n_c, n))) if c == n_c => {
+                i += 1;
+                j += 1;
+                (c, lambda * o + keep * value(n))
+            }
+            (_, Some(&(c, n))) => {
+                j += 1;
+                (c, keep * value(n))
+            }
+        };
+        out.push(cell);
     }
 }
 
@@ -1182,16 +1437,19 @@ mod tests {
         sys2.move_peer(PeerId(2), ClusterId(0));
         let shifted = simulate_period(&sys2, &mut net);
         stats.absorb(&shifted);
-        let folded = &stats.folded.as_ref().unwrap().observations[0];
+        let folded = stats.folded.as_ref().unwrap();
         let q1 = folded
+            .observations
+            .row(0)
             .iter()
-            .find(|f| f.query == Query::keyword(Sym(1)))
+            .find(|r| folded.queries[r.query as usize] == Query::keyword(Sym(1)))
             .unwrap();
+        let count = |cid| cluster_count(&folded.cells[q1.cells.clone()], cid).unwrap_or(0.0);
         // Old: c2 answered 1 result; new: 0 (p2 moved to c0). EMA keeps
         // half of the decayed memory: 0.5·1 + 0.5·0 = 0.5.
-        assert!((q1.cluster_count(ClusterId(2)) - 0.5).abs() < 1e-12);
+        assert!((count(ClusterId(2)) - 0.5).abs() < 1e-12);
         // c0 answered 2 before (p1) and 3 now (p1 + p2): 0.5·2 + 0.5·3.
-        assert!((q1.cluster_count(ClusterId(0)) - 2.5).abs() < 1e-12);
+        assert!((count(ClusterId(0)) - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1269,8 +1527,7 @@ mod tests {
         let obs = simulate_period(&sys, &mut net);
         let q1 = obs
             .of(PeerId(0))
-            .iter()
-            .find(|o| o.query == Query::keyword(Sym(1)))
+            .find(|o| *o.query == Query::keyword(Sym(1)))
             .unwrap();
         // Sym(1): 2 results from c0 (p1), 1 from c2 (p2).
         assert_eq!(q1.cluster_count(ClusterId(0)), 2);
@@ -1289,7 +1546,7 @@ mod tests {
         // regardless of occurrence counts — the buffer-reuse refactor
         // must not drop, duplicate, or reorder records.
         for p in [PeerId(0), PeerId(1), PeerId(2)] {
-            assert_eq!(obs.of(p).len(), sys.workloads()[p.index()].iter().count());
+            assert_eq!(obs.of(p).len(), sys.workloads()[p.index()].distinct());
         }
         // p0's records carry sorted, duplicate-free cluster annotations.
         for record in obs.of(PeerId(0)) {
@@ -1395,7 +1652,7 @@ mod tests {
         // Routed observations never contain results flood lacks.
         for p in [PeerId(0), PeerId(1), PeerId(2)] {
             let flood_obs = simulate_period(&sys, &mut SimNetwork::new());
-            for (r, f) in obs.of(p).iter().zip(flood_obs.of(p)) {
+            for (r, f) in obs.of(p).zip(flood_obs.of(p)) {
                 assert!(r.total <= f.total);
             }
         }
@@ -1435,7 +1692,7 @@ mod tests {
         let sys = fixture();
         let mut net = SimNetwork::new();
         let obs = simulate_period(&sys, &mut net);
-        assert!(obs.of(PeerId(2)).is_empty());
+        assert_eq!(obs.of(PeerId(2)).len(), 0);
         // …but p2 still *served* p0's queries.
         let mut stats = ObservedStats::new(0.0);
         stats.absorb(&obs);

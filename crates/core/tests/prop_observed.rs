@@ -11,7 +11,10 @@
 //!    [`best_response`] cluster for every live peer, under both
 //!    empty-target policies — same candidate set, same tie-break, and
 //! 3. [`ObservedStrategy`]'s proposals name the same destination as the
-//!    oracle [`SelfishStrategy`] on the same view.
+//!    oracle [`SelfishStrategy`] on the same view, and
+//! 4. at decay 0.25 and 0.5, over 2–3 periods with any ops in between
+//!    and under flood, exact and lossy routing, every estimate equals
+//!    that of the nested per-peer fold in `fold_reference`, bit for bit.
 //!
 //! Properties 2 and 3 hold only while every result holder is assigned
 //! to a cluster: a *soft*-left peer keeps its documents in the store —
@@ -23,16 +26,18 @@
 //! `prop_routing`'s universe rationale.
 
 mod common;
+mod fold_reference;
 
 use common::{apply, arb_ops, arb_seed_syms, fixture, Op};
+use fold_reference::{check_estimates, ReferenceStats};
 use proptest::prelude::*;
 use recluster_core::System;
 use recluster_core::{
-    best_response, pcost, simulate_period, ObservedStats, ObservedStrategy, RelocationStrategy,
-    SelfishStrategy,
+    best_response, pcost, simulate_period, simulate_period_routed, ObservedStats, ObservedStrategy,
+    RelocationStrategy, SelfishStrategy,
 };
-use recluster_overlay::SimNetwork;
-use recluster_types::PeerId;
+use recluster_overlay::{RoutingMode, SimNetwork, SummaryMode};
+use recluster_types::{ClusterId, PeerId};
 
 /// Applies `ops` while keeping the oracle premise intact: every
 /// document holder stays assigned to a cluster (see module doc).
@@ -52,8 +57,66 @@ fn apply_assigned_only(sys: &mut System, net: &mut SimNetwork, ops: Vec<Op>) {
     }
 }
 
+/// Absorbs one period of `sys` under `mode` into both estimators and
+/// holds every slot's estimates to the reference, over every cluster id.
+fn observe_and_check(
+    sys: &System,
+    net: &mut SimNetwork,
+    mode: RoutingMode,
+    stats: &mut ObservedStats,
+    reference: &mut ReferenceStats,
+) -> Result<(), TestCaseError> {
+    let (period, _) = simulate_period_routed(sys, net, mode);
+    stats.absorb(&period);
+    reference.absorb(&period, sys.overlay());
+    check_all(stats, reference, sys)
+}
+
+/// [`check_estimates`] over every slot and every cluster id of `sys`.
+fn check_all(
+    stats: &ObservedStats,
+    reference: &ReferenceStats,
+    sys: &System,
+) -> Result<(), TestCaseError> {
+    let clusters: Vec<ClusterId> = sys.overlay().cluster_ids().collect();
+    let slots = (0..sys.overlay().n_slots()).map(PeerId::from_index);
+    check_estimates(stats, reference, sys, slots, &clusters)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The decayed fold is the nested per-peer fold, bit for bit: after
+    /// each absorb, and again after the ops that follow it (estimates
+    /// from a stale snapshot against a changed overlay, with late
+    /// joiners and grown `Cmax`).
+    #[test]
+    fn decayed_fold_equals_the_nested_reference(
+        seed_docs in arb_seed_syms(),
+        seed_queries in arb_seed_syms(),
+        gaps in proptest::collection::vec(arb_ops(12), 1..3),
+        decay in prop_oneof![Just(0.25), Just(0.5)],
+    ) {
+        let base = fixture(&seed_docs, &seed_queries);
+        for mode in [
+            RoutingMode::Flood,
+            RoutingMode::Routed(SummaryMode::Exact),
+            RoutingMode::Routed(SummaryMode::TopK(1)),
+        ] {
+            let mut sys = base.clone();
+            let mut net = SimNetwork::new();
+            let mut stats = ObservedStats::new(decay);
+            let mut reference = ReferenceStats::new(decay);
+            observe_and_check(&sys, &mut net, mode, &mut stats, &mut reference)?;
+            for ops in &gaps {
+                for op in ops.iter().cloned() {
+                    apply(&mut sys, &mut net, op);
+                }
+                check_all(&stats, &reference, &sys)?;
+                observe_and_check(&sys, &mut net, mode, &mut stats, &mut reference)?;
+            }
+        }
+    }
 
     /// Decay 0 is a literal snapshot: the folded estimates carry the
     /// latest period's bits — those of an accumulator that never saw

@@ -18,19 +18,25 @@
 //! credit served results peer by peer. [`reference_period`] recomputes
 //! a period the way §3.1 states it, walking cluster members one
 //! requester at a time, and the observation walk must equal it bit for
-//! bit: under every routing mode, sequential and sharded, and at 10 000
-//! peers after a churn batch.
+//! bit, records and served rows alike: under every routing mode,
+//! sequential and sharded, and at 10 000 peers after each of two churn
+//! batches. There the two periods are also absorbed at decay 0.5, and
+//! every slot's estimates must equal the nested fold of
+//! `fold_reference`.
+
+mod fold_reference;
 
 use std::collections::{BTreeMap, HashMap};
 
+use fold_reference::{check_estimates, records, Record, ReferenceStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::ThreadPoolBuilder;
 use recluster_core::shard::{set_shard_min_override, should_shard};
-use recluster_core::tracker::QueryObservation;
 use recluster_core::{
-    simulate_period, simulate_period_routed, GameConfig, ObservedStats, RoutingReport, System,
+    simulate_period, simulate_period_routed, GameConfig, ObservedStats, PeriodObservations,
+    RoutingReport, System,
 };
 use recluster_overlay::{
     route_to_clusters, AnnotatedResult, ChurnEvent, ClusterSummaries, ContentStore, MsgKind,
@@ -168,7 +174,7 @@ fn assert_summaries_equal_rebuild(sys: &System) -> Result<(), TestCaseError> {
 /// One observation period as [`reference_period`] computes it.
 struct Reference {
     /// Per slot: one record per distinct query of a live requester.
-    records: Vec<Vec<QueryObservation>>,
+    records: Vec<Vec<Record>>,
     /// Per slot: demand-weighted results served, by requesting cluster.
     served: Vec<BTreeMap<ClusterId, f64>>,
     served_total: Vec<f64>,
@@ -263,7 +269,7 @@ fn reference_period(sys: &System, mode: RoutingMode, per_query: bool) -> Referen
                     out.served_total[r.peer.index()] += credit;
                 }
             }
-            out.records[requester.index()].push(QueryObservation {
+            out.records[requester.index()].push(Record {
                 query: query.clone(),
                 weight: workload.frequency(query),
                 per_cluster: per_cluster.into_iter().collect(),
@@ -275,50 +281,46 @@ fn reference_period(sys: &System, mode: RoutingMode, per_query: bool) -> Referen
     out
 }
 
-/// Runs the observation walk on a fresh ledger and holds it to
-/// `reference` bit for bit: the report, the per-kind ledger, every
-/// slot's records, and every served credit and total, read through a
-/// decay-0 [`ObservedStats`]. Every credit names a live requester's
-/// cluster, so the non-empty clusters cover the keys of both sides; the
-/// totals are compared first, so equal shares mean equal credits.
-fn check_walk(sys: &System, mode: RoutingMode, reference: &Reference) -> Result<(), TestCaseError> {
+/// Runs the observation walk on a fresh ledger, holds it to `reference`
+/// bit for bit — the report, the per-kind ledger, and every slot's
+/// records, served row and served total — and returns its observations.
+fn check_walk(
+    sys: &System,
+    mode: RoutingMode,
+    reference: &Reference,
+) -> Result<PeriodObservations, TestCaseError> {
     let mut net = SimNetwork::new();
     let (obs, report) = simulate_period_routed(sys, &mut net, mode);
     prop_assert_eq!(report, reference.report, "report, {:?}", mode);
     prop_assert_eq!(&net, &reference.net, "ledger, {:?}", mode);
-    let mut stats = ObservedStats::new(0.0);
-    stats.absorb(&obs);
-    for (slot, records) in reference.records.iter().enumerate() {
+    for (slot, records_of) in reference.records.iter().enumerate() {
         let peer = PeerId::from_index(slot);
         prop_assert_eq!(
-            obs.of(peer),
-            &records[..],
+            &records(&obs, peer),
+            records_of,
             "records of {:?}, {:?}",
             peer,
             mode
         );
-        let total = reference.served_total[slot];
+        let served: Vec<(ClusterId, u64)> = obs
+            .served(peer)
+            .iter()
+            .map(|&(c, v)| (c, v.to_bits()))
+            .collect();
+        let want: Vec<(ClusterId, u64)> = reference.served[slot]
+            .iter()
+            .map(|(&c, &v)| (c, v.to_bits()))
+            .collect();
+        prop_assert_eq!(served, want, "served row of {:?}, {:?}", peer, mode);
         prop_assert_eq!(
-            stats.served_total(peer).to_bits(),
-            total.to_bits(),
+            obs.served_total(peer).to_bits(),
+            reference.served_total[slot].to_bits(),
             "served total of {:?}, {:?}",
             peer,
             mode
         );
-        for &cid in sys.overlay().non_empty_ids() {
-            let served = reference.served[slot].get(&cid).copied().unwrap_or(0.0);
-            let share = if total == 0.0 { 0.0 } else { served / total };
-            prop_assert_eq!(
-                stats.estimated_contribution(peer, cid).to_bits(),
-                share.to_bits(),
-                "credit of {:?} to {:?}, {:?}",
-                peer,
-                cid,
-                mode
-            );
-        }
     }
-    Ok(())
+    Ok(obs)
 }
 
 /// A 2-thread pool: enough for either sharded pass to split its walk.
@@ -437,10 +439,10 @@ proptest! {
 
         // Per-observation: lossy results are a subset of flood's.
         for peer in sys.overlay().peers() {
-            for (l, f) in lossy.of(peer).iter().zip(flood.of(peer)) {
-                prop_assert_eq!(&l.query, &f.query);
+            for (l, f) in lossy.of(peer).zip(flood.of(peer)) {
+                prop_assert_eq!(l.query, f.query);
                 prop_assert!(l.total <= f.total);
-                for &(cid, n) in &l.per_cluster {
+                for &(cid, n) in l.per_cluster {
                     prop_assert!(n <= f.cluster_count(cid), "lossy invented results");
                 }
             }
@@ -544,19 +546,10 @@ fn scale_system(n_peers: usize, rng: &mut StdRng) -> System {
     System::new(overlay, store, workloads, GameConfig::default())
 }
 
-/// The reference holds at scale on the production path. At 10 000 peers
-/// the default shard threshold engages both sharded passes with no
-/// override; a churn batch first leaves departed slots and joiners with
-/// fresh content behind. Release only (CI runs it there): the reference
-/// walks every requester's results.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "release only: 10 000-peer oracle")]
-fn observation_walk_equals_the_reference_at_scale() {
-    let mut rng = StdRng::seed_from_u64(0x5ca1e);
-    let mut sys = scale_system(10_000, &mut rng);
-    // The churn batch, as the simulator's `maintenance` module applies
-    // it: leavers drop their workload, joiners arrive with content and
-    // a workload of their own.
+/// One churn batch, as the simulator's `maintenance` module applies it:
+/// leavers drop their workload, joiners arrive with content and a
+/// workload of their own.
+fn churn_batch(sys: &mut System, rng: &mut StdRng) {
     let mut net = SimNetwork::new();
     for _ in 0..200 {
         let peer = PeerId::from_index(rng.gen_range(0..sys.overlay().n_slots()));
@@ -567,25 +560,63 @@ fn observation_walk_equals_the_reference_at_scale() {
             sys.set_workload(peer, Workload::new());
         }
         let category = rng.gen_range(0..SCALE_CATEGORIES);
-        let docs = scale_docs(&mut rng, category);
+        let docs = scale_docs(rng, category);
         let cluster = ClusterId::from_index(category);
         let joined = sys
             .apply_churn_event(&mut net, ChurnEvent::Join { cluster, docs })
             .expect("a join into a live cluster applies");
-        sys.set_workload(joined.peer(), scale_workload(&mut rng, category));
+        sys.set_workload(joined.peer(), scale_workload(rng, category));
     }
-    let pool = two_threads();
-    pool.install(|| {
-        assert!(
-            should_shard(sys.overlay().n_slots()),
-            "default threshold must shard"
-        );
-        for mode in [
-            RoutingMode::Routed(SummaryMode::Exact),
-            RoutingMode::Routed(SummaryMode::TopK(20)),
-        ] {
-            let reference = reference_period(&sys, mode, true);
-            check_walk(&sys, mode, &reference).unwrap();
+}
+
+/// Workload drift: `n` random draws of a slot, each live one drawing a
+/// fresh workload on its cluster's category, so surviving peers' records
+/// change between periods.
+fn redraw_workloads(sys: &mut System, rng: &mut StdRng, n: usize) {
+    for _ in 0..n {
+        let peer = PeerId::from_index(rng.gen_range(0..sys.overlay().n_slots()));
+        if let Some(home) = sys.overlay().cluster_of(peer) {
+            sys.set_workload(peer, scale_workload(rng, home.index()));
         }
-    });
+    }
+}
+
+/// The reference holds at scale on the production path. At 10 000 peers
+/// the default shard threshold engages both sharded passes with no
+/// override; each churn batch leaves departed slots and joiners with
+/// fresh content behind, and some surviving peers then change their
+/// workload. After each batch the walk is held to the member walk, and
+/// its exact-summary period is absorbed at decay 0.5 into both
+/// estimators, whose estimates for every slot (live or departed) must
+/// agree over every non-empty cluster plus the first empty one.
+/// Release only (CI runs it there): the reference walks every
+/// requester's results.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: 10 000-peer oracle")]
+fn observation_walk_equals_the_reference_at_scale() {
+    let mut rng = StdRng::seed_from_u64(0x5ca1e);
+    let mut sys = scale_system(10_000, &mut rng);
+    let mut stats = ObservedStats::new(0.5);
+    let mut nested = ReferenceStats::new(0.5);
+    let pool = two_threads();
+    for _ in 0..2 {
+        churn_batch(&mut sys, &mut rng);
+        redraw_workloads(&mut sys, &mut rng, 200);
+        let period = pool.install(|| {
+            assert!(
+                should_shard(sys.overlay().n_slots()),
+                "default threshold must shard"
+            );
+            let lossy = RoutingMode::Routed(SummaryMode::TopK(20));
+            check_walk(&sys, lossy, &reference_period(&sys, lossy, true)).unwrap();
+            let exact = RoutingMode::Routed(SummaryMode::Exact);
+            check_walk(&sys, exact, &reference_period(&sys, exact, true)).unwrap()
+        });
+        stats.absorb(&period);
+        nested.absorb(&period, sys.overlay());
+        let mut clusters = sys.overlay().non_empty_ids().to_vec();
+        clusters.extend(sys.overlay().first_empty_cluster());
+        let slots = (0..sys.overlay().n_slots()).map(PeerId::from_index);
+        check_estimates(&stats, &nested, &sys, slots, &clusters).unwrap();
+    }
 }

@@ -9,9 +9,10 @@
 //! 2. the sharded per-period tracker walk produces the same
 //!    observations, routing report and per-kind network ledger as the
 //!    sequential walk, bit for bit, under the same pools — and the
-//!    traffic-only walk, which skips the observation fan-out and the
-//!    served-credit pass, produces the observation walk's report and
-//!    ledger — under flooding, exact summaries and a lossy summary.
+//!    traffic-only walk, which skips the slot pass that builds the
+//!    observation and served-credit rows, produces the observation
+//!    walk's report and ledger — under flooding, exact summaries and a
+//!    lossy summary.
 //!
 //! This is the contract that lets the million-peer churn path fan its
 //! two remaining single-threaded hot loops across cores without the
