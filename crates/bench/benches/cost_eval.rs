@@ -65,11 +65,28 @@ fn bench_global_costs(c: &mut Criterion) {
 }
 
 /// The protocol hot path in isolation: relocate a peer, then evaluate
-/// its cost at the destination — 32 times per iteration. `incremental`
-/// routes the move through `System::move_peer` (O(results-of-peer)
-/// delta); `naive-rebuild` replays the pre-incremental behavior (full
-/// `refresh_mass` after every move). The acceptance target is ≥5×
-/// between the two at paper scale.
+/// its cost at the destination — 32 times per iteration. The two
+/// variants do different work per move:
+///
+/// * `incremental` routes the move through `System::move_peer`, which
+///   delta-maintains everything a move writes: the recall index's mass
+///   cells (O(results-of-peer)), the routing summaries, the cost cache's
+///   dirty marks and the epochs. The summaries dominate: timing the same
+///   32 moves outside the bench (2-vCPU VM, median of 300 iterations),
+///   `ClusterSummaries::apply_move` took 166 of 188 µs per iteration at
+///   small-40p and 323 of 368 µs at paper-200p.
+/// * `naive-rebuild` replays the pre-incremental behaviour: it moves the
+///   peer through `overlay_mut` and runs a full `refresh_mass` after
+///   every real move. It never maintains the summaries.
+///
+/// So `incremental` alone pays the summary upkeep, and at 40 peers that
+/// upkeep outweighs the mass rebuild it saves; at 200 peers the rebuild
+/// dominates. Both variants run on a clone from `iter_batched_ref`,
+/// which drops the clone after the clock stops. In quick mode on the
+/// same VM, small-40p read 280 µs (`incremental`) against 294 µs
+/// (`naive-rebuild`) while the drop was timed, and 223 µs against
+/// 168 µs after; paper-200p read 709 µs against 3.20 ms, then 480 µs
+/// against 3.33 ms.
 fn bench_move_then_eval(c: &mut Criterion) {
     const MOVES_PER_ITER: u32 = 32;
     let mut group = c.benchmark_group("cost/move_then_pcost");
@@ -77,15 +94,15 @@ fn bench_move_then_eval(c: &mut Criterion) {
     for (label, tb) in testbeds() {
         let n = tb.system.n_peers() as u32;
         group.bench_with_input(BenchmarkId::new("incremental", label), &tb, |b, tb| {
-            b.iter_batched(
+            b.iter_batched_ref(
                 || tb.system.clone(),
-                |mut sys| {
+                |sys| {
                     let mut acc = 0.0;
                     for i in 0..MOVES_PER_ITER {
                         let peer = PeerId(i % n);
                         let to = ClusterId(i % 4);
                         sys.move_peer(peer, to);
-                        acc += pcost(&sys, peer, to);
+                        acc += pcost(&*sys, peer, to);
                     }
                     acc
                 },
@@ -93,9 +110,9 @@ fn bench_move_then_eval(c: &mut Criterion) {
             )
         });
         group.bench_with_input(BenchmarkId::new("naive-rebuild", label), &tb, |b, tb| {
-            b.iter_batched(
+            b.iter_batched_ref(
                 || tb.system.clone(),
-                |mut sys| {
+                |sys| {
                     let mut acc = 0.0;
                     for i in 0..MOVES_PER_ITER {
                         let peer = PeerId(i % n);
@@ -106,7 +123,7 @@ fn bench_move_then_eval(c: &mut Criterion) {
                         if from != to {
                             sys.refresh_mass();
                         }
-                        acc += pcost(&sys, peer, to);
+                        acc += pcost(&*sys, peer, to);
                     }
                     acc
                 },

@@ -215,6 +215,25 @@ impl Bencher {
         }
         self.elapsed = total;
     }
+
+    /// Times `routine` on a mutable borrow of fresh inputs from `setup`,
+    /// excluding both the setup and the input's drop from the
+    /// measurement: the input is dropped after the clock stops.
+    pub fn iter_batched_ref<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(&mut I) -> O,
+    {
+        let mut total = Duration::ZERO;
+        for _ in 0..self.iters {
+            let mut input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(&mut input));
+            total += start.elapsed();
+            drop((output, input));
+        }
+        self.elapsed = total;
+    }
 }
 
 /// Whether quick mode is on (`RECLUSTER_BENCH_QUICK=1`): samples are
@@ -363,6 +382,32 @@ mod tests {
             )
         });
         group.finish();
+    }
+
+    #[test]
+    fn iter_batched_ref_drops_the_input_after_the_clock() {
+        const DROP: Duration = Duration::from_millis(30);
+        struct SlowDrop(u64);
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(DROP);
+            }
+        }
+        let mut b = Bencher {
+            iters: 3,
+            elapsed: Duration::ZERO,
+        };
+        let mut seen = Vec::new();
+        b.iter_batched_ref(
+            || SlowDrop(7),
+            |input| {
+                seen.push(input.0);
+                input.0 += 1;
+            },
+            BatchSize::LargeInput,
+        );
+        assert_eq!(seen, [7, 7, 7], "a fresh input per iteration");
+        assert!(b.elapsed < DROP, "timed a drop: {:?}", b.elapsed);
     }
 
     #[test]

@@ -277,21 +277,22 @@ pub(crate) fn apply_policy(
 /// Folds the current individual costs into `min_costs`; peers listed in
 /// `reset` take the current cost outright (fresh start after a move).
 /// Departed peers get `INFINITY`. Shared by both protocol drivers.
+/// O(slots + reset): the fold covers every slot, then each reset slot
+/// is overwritten with its current cost.
 pub(crate) fn fold_min_costs(view: &SystemView<'_>, min_costs: &mut Vec<f64>, reset: &[PeerId]) {
-    let n = view.overlay().n_slots();
-    min_costs.resize(n, f64::INFINITY);
-    for (i, slot) in min_costs.iter_mut().enumerate() {
-        let p = PeerId::from_index(i);
-        let now = if view.overlay().cluster_of(p).is_some() {
+    let now = |p: PeerId| {
+        if view.overlay().cluster_of(p).is_some() {
             pcost_current(view, p)
         } else {
             f64::INFINITY
-        };
-        if reset.contains(&p) {
-            *slot = now;
-        } else {
-            *slot = slot.min(now);
         }
+    };
+    min_costs.resize(view.overlay().n_slots(), f64::INFINITY);
+    for (i, slot) in min_costs.iter_mut().enumerate() {
+        *slot = slot.min(now(PeerId::from_index(i)));
+    }
+    for &p in reset {
+        min_costs[p.index()] = now(p);
     }
 }
 

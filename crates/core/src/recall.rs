@@ -40,8 +40,20 @@
 //! [`RecallIndex::build`] may number queries differently and drop
 //! stale ones, but derived quantities — `r`, masses, `pcost` — are
 //! bit-identical under either numbering.)
+//!
+//! # Shared rows
+//!
+//! The per-peer rows ([`RecallIndex::results_of`],
+//! [`RecallIndex::workload_of`]) are immutable `Arc<[_]>` slices. A
+//! clone shares every row with its origin and copies only the per-query
+//! tables, so cloning a 100 000-peer index costs two pointer arrays
+//! rather than 200 000 row allocations. A mutator that changes a row
+//! replaces it whole; membership deltas only read rows. Each row is its
+//! own `Arc`, not one `Arc` per table, so a row read is the same single
+//! indirection an owned `Vec` row costs.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use recluster_overlay::{ContentStore, Overlay};
 use recluster_types::{ClusterId, Document, PeerId, Query, Sym, Workload};
@@ -49,8 +61,23 @@ use recluster_types::{ClusterId, Document, PeerId, Query, Sym, Workload};
 /// Identifier of a distinct query inside a [`RecallIndex`].
 pub type QueryId = u32;
 
+/// One peer's sorted `(qid, value)` row: shared between clones, and
+/// replaced whole when it changes.
+type Row<T> = Arc<[(QueryId, T)]>;
+
+/// Buffers [`RecallIndex::row_for`] reuses across rows, so that building
+/// a row allocates only the row itself.
+#[derive(Default)]
+struct RowScratch {
+    candidates: Vec<QueryId>,
+    row: Vec<(QueryId, u64)>,
+}
+
 /// Precomputed `result(q, p)` counts, totals, per-peer workload weights,
 /// and per-cluster recall masses with their answering-member counts.
+///
+/// `Clone` copies the query universe, the totals and the mass cells, and
+/// shares every per-peer row with the origin (see the module docs).
 #[derive(Debug, Clone)]
 pub struct RecallIndex {
     /// All distinct queries appearing in any workload.
@@ -58,11 +85,11 @@ pub struct RecallIndex {
     qid_of: HashMap<Query, QueryId>,
     /// Per peer: sorted `(qid, result count)` for queries the peer can
     /// answer (nonzero results only).
-    peer_results: Vec<Vec<(QueryId, u64)>>,
+    peer_results: Vec<Row<u64>>,
     /// Per query: `Σ_p result(q, p)`.
     totals: Vec<u64>,
     /// Per peer: `(qid, relative frequency in the peer's workload)`.
-    peer_workload: Vec<Vec<(QueryId, f64)>>,
+    peer_workload: Vec<Row<f64>>,
     /// Per query: numerator of the cluster recall mass as a **sparse**
     /// row of [`MassCell`]s, ascending by cluster id, with the invariant
     /// *present ⟺ nonzero*. A query's results concentrate in a handful
@@ -104,7 +131,7 @@ impl RecallIndex {
         let mut index = RecallIndex {
             queries: Vec::new(),
             qid_of: HashMap::new(),
-            peer_results: vec![Vec::new(); n_slots],
+            peer_results: Vec::with_capacity(n_slots),
             totals: Vec::new(),
             peer_workload: Vec::new(),
             mass_num: Vec::new(),
@@ -124,26 +151,35 @@ impl RecallIndex {
         // result(q, p) for every distinct query and peer, restricted to
         // the candidate queries sharing an attribute with the peer's
         // documents (exact: any other query has zero results there).
+        let mut scratch = RowScratch::default();
         for slot in 0..n_slots {
-            let row = index.row_for(store.docs(PeerId::from_index(slot)));
-            for &(qid, count) in &row {
+            let row = index.row_for(store.docs(PeerId::from_index(slot)), &mut scratch);
+            for &(qid, count) in row.iter() {
                 index.totals[qid as usize] += count;
             }
-            index.peer_results[slot] = row;
+            index.peer_results.push(row);
         }
 
-        // Per-peer workload weights.
-        index.peer_workload = workloads
-            .iter()
-            .map(|w| {
-                w.iter()
-                    .map(|(q, n)| (index.qid_of[q], n as f64 / w.total() as f64))
-                    .collect()
-            })
-            .collect();
-
+        index.peer_workload = index.weight_rows(workloads);
         index.rebuild(overlay);
         index
+    }
+
+    /// Every peer's `(qid, relative frequency)` row, each built in one
+    /// allocation. Every workload query must be registered.
+    fn weight_rows(&self, workloads: &[Workload]) -> Vec<Row<f64>> {
+        let mut scratch = Vec::new();
+        workloads
+            .iter()
+            .map(|w| {
+                scratch.clear();
+                scratch.extend(
+                    w.iter()
+                        .map(|(q, n)| (self.qid_of[q], n as f64 / w.total() as f64)),
+                );
+                Row::from(&scratch[..])
+            })
+            .collect()
     }
 
     /// Registers `query` in the universe (no result column yet): id maps,
@@ -171,12 +207,15 @@ impl RecallIndex {
     /// The `(qid, result count)` row of a document set: candidate queries
     /// come from the inverted index (plus the attribute-less ones), so
     /// only queries that can possibly match are evaluated. Ascending qids,
-    /// nonzero counts only — exactly what a full scan would produce.
-    fn row_for(&self, docs: &[Document]) -> Vec<(QueryId, u64)> {
+    /// nonzero counts only — exactly what a full scan would produce. The
+    /// row is gathered in `scratch` and allocated once.
+    fn row_for(&self, docs: &[Document], scratch: &mut RowScratch) -> Row<u64> {
         if docs.is_empty() {
-            return Vec::new();
+            return Row::default();
         }
-        let mut candidates: Vec<QueryId> = self.universal.clone();
+        let RowScratch { candidates, row } = scratch;
+        candidates.clear();
+        candidates.extend_from_slice(&self.universal);
         for doc in docs {
             for a in doc.attrs() {
                 if let Some(bucket) = self.by_attr.get(a) {
@@ -186,14 +225,14 @@ impl RecallIndex {
         }
         candidates.sort_unstable();
         candidates.dedup();
-        let mut row = Vec::with_capacity(candidates.len());
-        for qid in candidates {
+        row.clear();
+        for &qid in candidates.iter() {
             let count = self.queries[qid as usize].result_count(docs);
             if count > 0 {
                 row.push((qid, count));
             }
         }
-        row
+        Row::from(&row[..])
     }
 
     /// Registers `query` and, when it is genuinely new, computes its full
@@ -215,7 +254,10 @@ impl RecallIndex {
             let peer = PeerId::from_index(slot);
             let count = query.result_count(store.docs(peer));
             if count > 0 {
-                self.peer_results[slot].push((qid, count));
+                // The fresh id is the largest, so appending keeps the row
+                // sorted.
+                let row = &mut self.peer_results[slot];
+                *row = row.iter().copied().chain([(qid, count)]).collect();
                 self.totals[qid as usize] += count;
                 if let Some(cid) = overlay.cluster_of(peer) {
                     mass_add(&mut self.mass_num[qid as usize], cid, count);
@@ -238,21 +280,20 @@ impl RecallIndex {
         cid: Option<ClusterId>,
         new_docs: &[Document],
     ) {
-        let old = std::mem::take(&mut self.peer_results[peer.index()]);
-        for &(qid, count) in &old {
+        let row = self.row_for(new_docs, &mut RowScratch::default());
+        let old = std::mem::replace(&mut self.peer_results[peer.index()], row);
+        for &(qid, count) in old.iter() {
             self.totals[qid as usize] -= count;
             if let Some(c) = cid {
                 mass_sub(&mut self.mass_num[qid as usize], c, count);
             }
         }
-        let row = self.row_for(new_docs);
-        for &(qid, count) in &row {
+        for &(qid, count) in self.peer_results[peer.index()].iter() {
             self.totals[qid as usize] += count;
             if let Some(c) = cid {
                 mass_add(&mut self.mass_num[qid as usize], c, count);
             }
         }
-        self.peer_results[peer.index()] = row;
     }
 
     /// Delta-update for a peer's workload being replaced: registers any
@@ -273,7 +314,7 @@ impl RecallIndex {
             let qid = self.ensure_query(q, overlay, store);
             row.push((qid, n as f64 / total as f64));
         }
-        self.peer_workload[peer.index()] = row;
+        self.peer_workload[peer.index()] = row.into();
     }
 
     /// Recomputes every result count, total, workload weight and mass
@@ -300,7 +341,7 @@ impl RecallIndex {
         assert_eq!(store.n_peers(), overlay.n_slots(), "store/overlay mismatch");
         let n_slots = overlay.n_slots();
         self.totals = vec![0; self.queries.len()];
-        self.peer_results = vec![Vec::new(); n_slots];
+        self.peer_results = vec![Row::default(); n_slots];
         for slot in 0..n_slots {
             let docs = store.docs(PeerId::from_index(slot));
             if docs.is_empty() {
@@ -314,17 +355,9 @@ impl RecallIndex {
                     self.totals[qid] += count;
                 }
             }
-            self.peer_results[slot] = row;
+            self.peer_results[slot] = row.into();
         }
-        let qid_of = &self.qid_of;
-        self.peer_workload = workloads
-            .iter()
-            .map(|w| {
-                w.iter()
-                    .map(|(q, n)| (qid_of[q], n as f64 / w.total() as f64))
-                    .collect()
-            })
-            .collect();
+        self.peer_workload = self.weight_rows(workloads);
         self.rebuild(overlay);
     }
 
@@ -341,7 +374,7 @@ impl RecallIndex {
             let Some(cid) = overlay.cluster_of(peer) else {
                 continue;
             };
-            for &(qid, count) in &self.peer_results[slot] {
+            for &(qid, count) in self.peer_results[slot].iter() {
                 mass_add(&mut self.mass_num[qid as usize], cid, count);
             }
         }
@@ -372,8 +405,8 @@ impl RecallIndex {
     /// are exact no-ops.
     pub fn ensure_peer_slots(&mut self, n_slots: usize) {
         if n_slots > self.peer_results.len() {
-            self.peer_results.resize(n_slots, Vec::new());
-            self.peer_workload.resize(n_slots, Vec::new());
+            self.peer_results.resize(n_slots, Row::default());
+            self.peer_workload.resize(n_slots, Row::default());
         }
     }
 
@@ -385,7 +418,7 @@ impl RecallIndex {
         if from == to {
             return;
         }
-        for &(qid, count) in &self.peer_results[peer.index()] {
+        for &(qid, count) in self.peer_results[peer.index()].iter() {
             let row = &mut self.mass_num[qid as usize];
             mass_sub(row, from, count);
             mass_add(row, to, count);
@@ -397,7 +430,7 @@ impl RecallIndex {
     /// already be part of the index's totals — churn joins that *add*
     /// content follow up with [`RecallIndex::apply_content_update`].
     pub fn apply_join(&mut self, peer: PeerId, to: ClusterId) {
-        for &(qid, count) in &self.peer_results[peer.index()] {
+        for &(qid, count) in self.peer_results[peer.index()].iter() {
             mass_add(&mut self.mass_num[qid as usize], to, count);
         }
     }
@@ -408,7 +441,7 @@ impl RecallIndex {
     /// actually dropped from the store, follow up with
     /// [`RecallIndex::apply_content_update`]`(peer, None, &[])`.
     pub fn apply_leave(&mut self, peer: PeerId, from: ClusterId) {
-        for &(qid, count) in &self.peer_results[peer.index()] {
+        for &(qid, count) in self.peer_results[peer.index()].iter() {
             mass_sub(&mut self.mass_num[qid as usize], from, count);
         }
     }
@@ -490,12 +523,14 @@ impl RecallIndex {
         self.cmax
     }
 
-    /// The `(qid, relative frequency)` pairs of a peer's workload.
+    /// The `(qid, relative frequency)` pairs of a peer's workload. The
+    /// slice is shared with every clone that has not rewritten the row.
     pub fn workload_of(&self, peer: PeerId) -> &[(QueryId, f64)] {
         &self.peer_workload[peer.index()]
     }
 
-    /// The `(qid, result count)` pairs a peer can answer.
+    /// The `(qid, result count)` pairs a peer can answer. The slice is
+    /// shared with every clone that has not rewritten the row.
     pub fn results_of(&self, peer: PeerId) -> &[(QueryId, u64)] {
         &self.peer_results[peer.index()]
     }

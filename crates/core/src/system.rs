@@ -10,6 +10,7 @@
 //! oracles (and as repair steps after the `*_mut` escape hatches).
 
 use std::cell::{Ref, RefCell};
+use std::sync::Arc;
 
 use recluster_overlay::{
     ChurnDelta, ChurnEvent, ClusterSummaries, ContentStore, MsgKind, Overlay, SimNetwork, Theta,
@@ -42,11 +43,38 @@ impl Default for GameConfig {
 }
 
 /// The complete state of the reformulation game.
+///
+/// # Cloning
+///
+/// `Clone` copies only what a move writes: the overlay, the recall
+/// index's mass cells and per-query tables, the routing summaries, the
+/// cost cache and the change journal (under a fresh lineage, see
+/// [`Epochs`]). The content store, the workload table and every
+/// per-peer row of the [`RecallIndex`] are shared with the origin. At
+/// 100 000 peers that is about 14 MiB in a few thousand allocations,
+/// against 91 MiB in 753 000 for a deep copy.
+///
+/// Sharing is invisible to readers: a mutator that writes a shared part
+/// first takes its own copy of that part (`Arc::make_mut`, which copies
+/// nothing when no other clone holds it). The store is written by
+/// [`System::apply_churn_event`] (except a no-op leave),
+/// [`System::set_content`] / [`System::set_contents`] and
+/// [`System::store_mut`]; the workload table by
+/// [`System::set_workload`] / [`System::set_workloads`],
+/// [`System::workloads_mut`], and a [`System::join_peer`] or churn join
+/// that grows the slot table. An index row that changes is replaced
+/// whole, so the other side keeps reading the old one. Moves,
+/// [`System::leave_peer`] and a join into an existing slot write none
+/// of them, so a clone that only relocates peers (such as the reference
+/// repair of an audited observed period) keeps sharing all of it with
+/// its origin.
 #[derive(Debug, Clone)]
 pub struct System {
     overlay: Overlay,
-    store: ContentStore,
-    workloads: Vec<Workload>,
+    /// Shared between clones; see [Cloning](#cloning).
+    store: Arc<ContentStore>,
+    /// Shared between clones; see [Cloning](#cloning).
+    workloads: Arc<Vec<Workload>>,
     config: GameConfig,
     index: RecallIndex,
     /// Per-cluster content summaries for cluster-directed routing,
@@ -54,7 +82,8 @@ pub struct System {
     /// recall index.
     summaries: ClusterSummaries,
     /// Per-peer cached cost terms (recall loss + `WCost` contribution),
-    /// dirty-tracked by every mutator and flushed lazily on read.
+    /// dirty-tracked by every mutator and flushed lazily on read. Owned
+    /// by each clone: reads flush it in place, so it is never shared.
     cache: RefCell<CostCache>,
     /// Change journal for proposal memoization: per-cluster stamps for
     /// size/mass changes, a global stamp for system-wide shifts.
@@ -83,8 +112,8 @@ impl System {
         let epochs = Epochs::new(overlay.cmax());
         System {
             overlay,
-            store,
-            workloads,
+            store: Arc::new(store),
+            workloads: Arc::new(workloads),
             config,
             index,
             summaries,
@@ -248,8 +277,7 @@ impl System {
     /// Panics if the peer is already assigned.
     pub fn join_peer(&mut self, peer: PeerId, to: ClusterId) {
         self.overlay.assign(peer, to);
-        self.workloads
-            .resize(self.overlay.n_slots(), Workload::new());
+        self.grow_workloads();
         self.index.ensure_cmax(self.overlay.cmax());
         self.index.ensure_peer_slots(self.overlay.n_slots());
         self.index.apply_join(peer, to);
@@ -304,15 +332,17 @@ impl System {
     ) -> Option<ChurnDelta> {
         // The leave hook drops the departing peer's documents from the
         // store, so snapshot them first: the summary delta needs to know
-        // what to un-count.
+        // what to un-count. A departed peer's leave is a no-op, and
+        // returns before the store is unshared.
         let leaver_docs = match &event {
-            ChurnEvent::Leave { peer } if self.overlay.cluster_of(*peer).is_some() => {
+            ChurnEvent::Leave { peer } => {
+                self.overlay.cluster_of(*peer)?;
                 self.store.docs(*peer).to_vec()
             }
-            _ => Vec::new(),
+            ChurnEvent::Join { .. } => Vec::new(),
         };
-        let delta =
-            recluster_overlay::churn::apply_event(&mut self.overlay, &mut self.store, net, event)?;
+        let store = Arc::make_mut(&mut self.store);
+        let delta = recluster_overlay::churn::apply_event(&mut self.overlay, store, net, event)?;
         match delta {
             ChurnDelta::Left { peer, cluster } => {
                 // Totals for the leaver's result queries are about to
@@ -329,8 +359,7 @@ impl System {
                 cache.sub_live_demand(demand);
             }
             ChurnDelta::Joined { peer, cluster } => {
-                self.workloads
-                    .resize(self.overlay.n_slots(), Workload::new());
+                self.grow_workloads();
                 self.index.ensure_cmax(self.overlay.cmax());
                 self.index.ensure_peer_slots(self.overlay.n_slots());
                 self.index.apply_join(peer, cluster);
@@ -354,6 +383,15 @@ impl System {
         self.epochs.ensure_cmax(self.overlay.cmax());
         self.epochs.bump_global();
         Some(delta)
+    }
+
+    /// Grows the workload table to the overlay's slot count with empty
+    /// workloads, unsharing it only when it actually grows.
+    fn grow_workloads(&mut self) {
+        let n_slots = self.overlay.n_slots();
+        if self.workloads.len() < n_slots {
+            Arc::make_mut(&mut self.workloads).resize(n_slots, Workload::new());
+        }
     }
 
     /// Charges the traffic of propagating one cluster's summary delta to
@@ -394,7 +432,7 @@ impl System {
         let old_demand = self.workloads[peer.index()].total();
         self.index
             .set_workload(peer, &workload, &self.overlay, &self.store);
-        self.workloads[peer.index()] = workload;
+        Arc::make_mut(&mut self.workloads)[peer.index()] = workload;
         let new_demand = self.workloads[peer.index()].total();
         let index = &self.index;
         let cache = self.cache.get_mut();
@@ -437,7 +475,7 @@ impl System {
         let cid = self.overlay.cluster_of(peer);
         // Holders of the *old* result row see their totals change…
         self.mark_total_dependents(peer);
-        let old = self.store.replace(peer, docs);
+        let old = Arc::make_mut(&mut self.store).replace(peer, docs);
         if let Some(cid) = cid {
             self.summaries
                 .apply_content_update(cid, &old, self.store.docs(peer));
@@ -484,7 +522,7 @@ impl System {
     /// which applies the change as a delta instead.
     pub fn store_mut(&mut self) -> &mut ContentStore {
         self.cache.get_mut().mark_all();
-        &mut self.store
+        Arc::make_mut(&mut self.store)
     }
 
     /// Mutable access to the workloads; pair with
@@ -492,7 +530,7 @@ impl System {
     /// applies the change as a delta instead.
     pub fn workloads_mut(&mut self) -> &mut Vec<Workload> {
         self.cache.get_mut().mark_all();
-        &mut self.workloads
+        Arc::make_mut(&mut self.workloads)
     }
 
     /// Refreshes cluster masses after external membership changes. Recall
@@ -699,6 +737,96 @@ mod tests {
         let (_, recall_after) = crate::global::scost_terms(&sys);
         assert!((recall_after - 1.0).abs() < 1e-12);
         assert!(sys.cost_cache().is_fresh());
+    }
+
+    /// Three peers that all hold and query something: p0 holds kw(1), p1
+    /// kw(2), p2 both; p0 queries kw(2), p1 kw(1), p2 both.
+    fn trio() -> System {
+        let mut ov = Overlay::singletons(3);
+        ov.move_peer(PeerId(1), ClusterId(0));
+        let mut store = ContentStore::new(3);
+        store.add(PeerId(0), Document::new(vec![Sym(1)]));
+        store.add(PeerId(1), Document::new(vec![Sym(2)]));
+        store.add(PeerId(2), Document::new(vec![Sym(1), Sym(2)]));
+        let kw = |s| Query::keyword(Sym(s));
+        let workloads = vec![
+            Workload::from_iter([kw(2)]),
+            Workload::from_iter([kw(1), kw(1)]),
+            Workload::from_iter([kw(1), kw(2)]),
+        ];
+        System::new(ov, store, workloads, GameConfig::default())
+    }
+
+    /// Per slot: whether `a` and `b` share the peer's (workload row,
+    /// result row) in the recall index.
+    fn shared_rows(a: &System, b: &System) -> Vec<(bool, bool)> {
+        (0..a.overlay().n_slots())
+            .map(|slot| {
+                let p = PeerId::from_index(slot);
+                let (ai, bi) = (a.index(), b.index());
+                (
+                    ai.workload_of(p).as_ptr() == bi.workload_of(p).as_ptr(),
+                    ai.results_of(p).as_ptr() == bi.results_of(p).as_ptr(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clone_shares_what_a_move_does_not_write() {
+        let mut a = trio();
+        let mut b = a.clone();
+        // Moves on either side, and a leave and re-join of an existing
+        // slot, write only owned state.
+        a.move_peer(PeerId(1), ClusterId(1));
+        b.move_peer(PeerId(0), ClusterId(2));
+        b.move_peers(&[(PeerId(2), ClusterId(0)), (PeerId(1), ClusterId(2))]);
+        assert_eq!(b.leave_peer(PeerId(2)), Some(ClusterId(0)));
+        b.join_peer(PeerId(2), ClusterId(1));
+        assert_ne!(a.overlay(), b.overlay());
+        assert!(std::ptr::eq(a.store(), b.store()), "store unshared");
+        assert_eq!(
+            a.workloads().as_ptr(),
+            b.workloads().as_ptr(),
+            "workloads unshared"
+        );
+        assert_eq!(shared_rows(&a, &b), vec![(true, true); 3]);
+        // Both sides still cost their own overlays.
+        assert!(a.cost_cache().is_fresh() && b.cost_cache().is_fresh());
+    }
+
+    #[test]
+    fn writes_unshare_only_the_writer_and_its_rows() {
+        let mut a = trio();
+        let mut b = a.clone();
+        let store = a.store() as *const ContentStore;
+        let workloads = a.workloads().as_ptr();
+
+        b.set_content(PeerId(0), vec![Document::new(vec![Sym(2)])]);
+        assert!(std::ptr::eq(a.store(), store), "the reader kept its store");
+        assert!(!std::ptr::eq(b.store(), store), "the writer copied it");
+        assert_eq!(a.store().docs(PeerId(0)), &[Document::new(vec![Sym(1)])]);
+        assert_eq!(b.store().docs(PeerId(0)), &[Document::new(vec![Sym(2)])]);
+        assert_eq!(a.workloads().as_ptr(), b.workloads().as_ptr());
+        assert_eq!(
+            shared_rows(&a, &b),
+            vec![(true, false), (true, true), (true, true)],
+            "only the written peer's result row is replaced"
+        );
+        let q1 = a.index().qid(&Query::keyword(Sym(1))).unwrap();
+        assert_eq!(a.index().result(q1, PeerId(0)), 1);
+        assert_eq!(b.index().result(q1, PeerId(0)), 0);
+
+        // A workload of known queries rewrites one weight row.
+        a.set_workload(PeerId(1), Workload::from_iter([Query::keyword(Sym(2))]));
+        assert!(!std::ptr::eq(a.workloads().as_ptr(), workloads));
+        assert!(std::ptr::eq(b.workloads().as_ptr(), workloads));
+        assert_eq!(a.workloads()[1].count(&Query::keyword(Sym(2))), 1);
+        assert_eq!(b.workloads()[1].count(&Query::keyword(Sym(1))), 2);
+        assert_eq!(
+            shared_rows(&a, &b),
+            vec![(true, false), (false, true), (true, true)]
+        );
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! This is the contract that lets the protocol and the churn driver
 //! skip every O(queries × peers) rebuild: content updates and churn are
 //! O(changed peers) too, not just relocations.
+//!
+//! A `System` clone shares its store, workloads and index rows with the
+//! origin until one side writes them; the clone property below holds
+//! both sides of a fork to these oracles and to twins that never forked.
 
 mod common;
 
@@ -139,6 +143,74 @@ fn assert_cache_equals_rebuild(sys: &System) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Asserts `sys` is indistinguishable from `twin`, which replayed the
+/// same ops without ever being cloned: overlay, store documents,
+/// workloads, index rows (weights bit for bit), totals, mass cells,
+/// summaries, and the bits of `scost` and every `pcost`.
+fn assert_equals_twin(sys: &System, twin: &System) -> Result<(), TestCaseError> {
+    prop_assert_eq!(sys.overlay(), twin.overlay());
+    prop_assert_eq!(sys.workloads(), twin.workloads());
+    let (index, twin_index) = (sys.index(), twin.index());
+    prop_assert_eq!(index.queries(), twin_index.queries());
+    for slot in 0..sys.overlay().n_slots() {
+        let p = PeerId::from_index(slot);
+        prop_assert_eq!(
+            sys.store().docs(p),
+            twin.store().docs(p),
+            "docs of {}",
+            slot
+        );
+        prop_assert_eq!(index.results_of(p), twin_index.results_of(p));
+        let bits = |row: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            row.iter().map(|&(q, w)| (q, w.to_bits())).collect()
+        };
+        prop_assert_eq!(
+            bits(index.workload_of(p)),
+            bits(twin_index.workload_of(p)),
+            "weight row of {}",
+            slot
+        );
+    }
+    for qid in 0..index.n_queries() as u32 {
+        prop_assert_eq!(index.total(qid), twin_index.total(qid));
+        for cid in sys.overlay().cluster_ids() {
+            prop_assert_eq!(
+                index.cluster_answer(qid, cid),
+                twin_index.cluster_answer(qid, cid)
+            );
+        }
+    }
+    prop_assert_eq!(sys.summaries(), twin.summaries());
+    prop_assert_eq!(
+        recluster_core::scost(sys).to_bits(),
+        recluster_core::scost(twin).to_bits()
+    );
+    for peer in sys.overlay().peers() {
+        for cid in sys.overlay().cluster_ids() {
+            prop_assert_eq!(
+                pcost(sys, peer, cid).to_bits(),
+                pcost(twin, peer, cid).to_bits(),
+                "pcost({:?}, {:?})",
+                peer,
+                cid
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Holds one side of a fork to its oracles and to its unforked twin.
+fn assert_side(sys: &System, twin: &System) -> Result<(), TestCaseError> {
+    assert_index_equals_rebuild(sys)?;
+    assert_cache_equals_rebuild(sys)?;
+    prop_assert_eq!(
+        sys.summaries(),
+        &ClusterSummaries::build(sys.overlay(), sys.store()),
+        "summaries drifted from rebuild"
+    );
+    assert_equals_twin(sys, twin)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -237,5 +309,53 @@ proptest! {
             recluster_core::wcost(&sys).to_bits(),
             recluster_core::wcost(&rebuilt).to_bits()
         );
+    }
+
+    /// A clone and its origin evolve independently: after a shared op
+    /// prefix, each side takes its own op suffix (interleaved op by op),
+    /// and after every op both sides equal their oracles and a twin
+    /// that replayed the same ops without cloning. A write that leaked
+    /// through shared state into the other side, or a row the writer
+    /// failed to replace, shows up as a twin mismatch.
+    #[test]
+    fn clone_and_origin_evolve_independently(
+        docs in arb_seed_syms(),
+        queries in arb_seed_syms(),
+        prefix in arb_ops(16),
+        origin_ops in arb_ops(16),
+        clone_ops in arb_ops(16),
+    ) {
+        // The twins replay the same ops as the side they shadow and are
+        // never cloned.
+        let mut origin = fixture(&docs, &queries);
+        let mut origin_twin = fixture(&docs, &queries);
+        let mut clone_twin = fixture(&docs, &queries);
+        let mut net = SimNetwork::new();
+        for op in prefix {
+            apply(&mut origin, &mut net, op.clone());
+            apply(&mut origin_twin, &mut net, op.clone());
+            apply(&mut clone_twin, &mut net, op);
+        }
+        let mut clone = origin.clone();
+        assert_side(&clone, &clone_twin)?;
+        let (mut origin_ops, mut clone_ops) = (origin_ops.into_iter(), clone_ops.into_iter());
+        loop {
+            let (o, c) = (origin_ops.next(), clone_ops.next());
+            if o.is_none() && c.is_none() {
+                break;
+            }
+            if let Some(op) = o {
+                apply(&mut origin, &mut net, op.clone());
+                apply(&mut origin_twin, &mut net, op);
+                assert_side(&origin, &origin_twin)?;
+                assert_side(&clone, &clone_twin)?;
+            }
+            if let Some(op) = c {
+                apply(&mut clone, &mut net, op.clone());
+                apply(&mut clone_twin, &mut net, op);
+                assert_side(&origin, &origin_twin)?;
+                assert_side(&clone, &clone_twin)?;
+            }
+        }
     }
 }

@@ -227,7 +227,10 @@ impl Maintenance {
     /// folded estimates, and before it runs the driver measures the
     /// decision agreement on the pre-repair state and repairs a clone
     /// with the oracle strategy (on a scratch ledger); the fidelity row
-    /// is recorded under `period`.
+    /// is recorded under `period`. The clone shares the store, the
+    /// workloads and the index rows with `system`, since neither repair
+    /// writes them, so it costs only what a move writes (about 14 MiB at
+    /// 100 000 peers; see [`System`]'s cloning notes).
     pub fn repair(
         &mut self,
         system: &mut System,
