@@ -38,7 +38,7 @@ fn bench_refresh_mass(c: &mut Criterion) {
             tb.system.workloads(),
         );
         group.bench_with_input(BenchmarkId::from_parameter(label), &tb, |b, tb| {
-            b.iter(|| index.refresh_mass(tb.system.overlay()))
+            b.iter(|| index.rebuild(tb.system.overlay()))
         });
     }
     group.finish();

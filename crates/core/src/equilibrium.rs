@@ -6,6 +6,7 @@
 //! equilibrium does not always exist; that example is reproduced in this
 //! module's tests.
 
+use recluster_overlay::Overlay;
 use recluster_types::{ClusterId, PeerId};
 
 use crate::cost::{membership_cost, pcost_current};
@@ -93,38 +94,46 @@ pub fn best_response_with_chain<S: SystemRead + ?Sized>(
         gain: 0.0,
     };
     let mut best_cost = current_cost;
-    let mut consider = |cid: ClusterId, best: &mut BestResponse, best_cost: &mut f64| {
+    for cid in candidate_order(system.overlay(), allow_empty) {
         if cid == current {
-            return;
+            continue;
         }
         let cost = membership_cost(system, peer, cid) + recall_loss_away(queries, cid);
-        if cost < *best_cost - COST_EPS {
-            *best_cost = cost;
-            *best = BestResponse {
+        if cost < best_cost - COST_EPS {
+            best_cost = cost;
+            best = BestResponse {
                 cluster: cid,
                 gain: current_cost - cost,
             };
             chain.push(cid);
         }
-    };
-    let mut pending_empty = if allow_empty {
-        system.overlay().first_empty_cluster()
+    }
+    best
+}
+
+/// The clusters a single-cluster best response visits, in visit order:
+/// the non-empty clusters ascending, with the first empty slot at its id
+/// position when `allow_empty` (see [`best_response`] for why one empty
+/// slot stands for all). The observed selfish choice and the proposal
+/// memo's candidate sequence iterate the same order.
+pub(crate) fn candidate_order(
+    overlay: &Overlay,
+    allow_empty: bool,
+) -> impl Iterator<Item = ClusterId> + '_ {
+    let non_empty = overlay.non_empty_ids();
+    let empty = if allow_empty {
+        overlay.first_empty_cluster()
     } else {
         None
     };
-    for &cid in system.overlay().non_empty_ids() {
-        if let Some(empty) = pending_empty {
-            if empty < cid {
-                consider(empty, &mut best, &mut best_cost);
-                pending_empty = None;
-            }
-        }
-        consider(cid, &mut best, &mut best_cost);
-    }
-    if let Some(empty) = pending_empty {
-        consider(empty, &mut best, &mut best_cost);
-    }
-    best
+    // Every id below the first empty slot is non-empty, so exactly
+    // `empty.index()` non-empty ids precede it.
+    let (below, above) = non_empty.split_at(empty.map_or(non_empty.len(), ClusterId::index));
+    below
+        .iter()
+        .copied()
+        .chain(empty)
+        .chain(above.iter().copied())
 }
 
 /// Workload length up to which a best-response scan gathers the peer's
@@ -411,6 +420,38 @@ mod tests {
         let br = best_response(&sys, PeerId(0), true);
         assert_eq!(br.cluster, ClusterId(0));
         assert_eq!(br.gain, 0.0);
+    }
+
+    /// `n` singletons after `moves`, and its candidate order under both
+    /// empty-target policies as raw ids.
+    fn orders_after(n: usize, moves: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+        let mut ov = Overlay::singletons(n);
+        for &(peer, to) in moves {
+            ov.move_peer(PeerId(peer), ClusterId(to));
+        }
+        let order = |allow_empty| candidate_order(&ov, allow_empty).map(|c| c.0).collect();
+        (order(true), order(false))
+    }
+
+    #[test]
+    fn candidate_order_places_the_first_empty_slot_at_its_id() {
+        // Empty slots 0 and 2: slot 0 leads, slot 2 is skipped.
+        assert_eq!(
+            orders_after(4, &[(0, 1), (2, 3)]),
+            (vec![0, 1, 3], vec![1, 3])
+        );
+        // Empty slot 2 between non-empty clusters.
+        assert_eq!(
+            orders_after(4, &[(2, 3)]),
+            (vec![0, 1, 2, 3], vec![0, 1, 3])
+        );
+        // Empty slots 2 and 3 past every non-empty cluster.
+        assert_eq!(
+            orders_after(4, &[(2, 0), (3, 1)]),
+            (vec![0, 1, 2], vec![0, 1])
+        );
+        // No empty slot: the policy changes nothing.
+        assert_eq!(orders_after(3, &[]), (vec![0, 1, 2], vec![0, 1, 2]));
     }
 
     #[test]

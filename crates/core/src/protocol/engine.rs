@@ -159,23 +159,17 @@ pub struct ProtocolEngine<S: RelocationStrategy> {
     /// the memo is keyed on the journal's system id — so it safely
     /// persists across runs of the same engine).
     memo: ProposalMemo,
-    /// `config.memoize_proposals`, further gated by the
-    /// `RECLUSTER_MEMO=0` environment override (read once here).
-    memo_enabled: bool,
 }
 
 impl<S: RelocationStrategy> ProtocolEngine<S> {
     /// Creates an engine.
     pub fn new(strategy: S, config: ProtocolConfig) -> Self {
         assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
-        let memo_enabled =
-            config.memoize_proposals && std::env::var("RECLUSTER_MEMO").map_or(true, |v| v != "0");
         ProtocolEngine {
             strategy,
             config,
             min_costs: Vec::new(),
             memo: ProposalMemo::new(),
-            memo_enabled,
         }
     }
 
@@ -226,7 +220,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
             .flat_map(|&cid| view.overlay().cluster(cid).members().iter().copied())
             .collect();
 
-        let memo_on = self.memo_enabled && self.strategy.memoizable();
+        let memo_on = self.config.memoize_proposals && self.strategy.memoizable();
         if memo_on {
             // Opens the round's validity gate (candidate-sequence
             // version + changed-cluster set) before the immutable

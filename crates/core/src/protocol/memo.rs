@@ -88,7 +88,7 @@
 use recluster_types::{ClusterId, PeerId};
 
 use crate::cost::{membership_cost, pcost, pcost_current};
-use crate::equilibrium::COST_EPS;
+use crate::equilibrium::{candidate_order, COST_EPS};
 use crate::strategy::{ChainInfo, Proposal};
 use crate::view::SystemView;
 
@@ -204,29 +204,8 @@ impl ProposalMemo {
             self.all_stale = epochs.global() > self.stamp;
         }
 
-        // The scan-order candidate sequence: non-empty ids ascending
-        // with the first empty slot interleaved at its id position —
-        // exactly `best_response`'s visit order.
-        let overlay = view.overlay();
-        let non_empty = overlay.non_empty_ids();
-        let mut candidates: Vec<ClusterId> = Vec::with_capacity(non_empty.len() + 1);
-        let mut pending_empty = if allow_empty {
-            overlay.first_empty_cluster()
-        } else {
-            None
-        };
-        for &cid in non_empty {
-            if let Some(empty) = pending_empty {
-                if empty < cid {
-                    candidates.push(empty);
-                    pending_empty = None;
-                }
-            }
-            candidates.push(cid);
-        }
-        if let Some(empty) = pending_empty {
-            candidates.push(empty);
-        }
+        // The scan-order candidate sequence: `best_response`'s own.
+        let candidates: Vec<ClusterId> = candidate_order(view.overlay(), allow_empty).collect();
 
         if candidates != self.last_candidates || allow_empty != self.last_allow_empty {
             self.cand_version += 1;

@@ -136,8 +136,8 @@ pub struct ProtocolConfig {
     pub min_parallel_peers: usize,
     /// Whether to memoize proposals across rounds for strategies that
     /// declare [`memoizable`](crate::strategy::RelocationStrategy::memoizable).
-    /// Bit-identical either way; the `RECLUSTER_MEMO=0` environment
-    /// knob force-disables it for A/B runs without touching configs.
+    /// Bit-identical either way. Only the sync [`ProtocolEngine`] reads
+    /// it; the message runtime computes every proposal fresh.
     pub memoize_proposals: bool,
 }
 

@@ -380,13 +380,6 @@ impl RecallIndex {
         }
     }
 
-    /// Recomputes the per-cluster recall masses from the overlay's
-    /// current assignment (alias of [`RecallIndex::rebuild`], kept for
-    /// callers that predate the incremental API).
-    pub fn refresh_mass(&mut self, overlay: &Overlay) {
-        self.rebuild(overlay);
-    }
-
     /// Notes that the overlay now has `cmax` cluster slots (after
     /// [`Overlay::grow`]); existing masses are untouched. The sparse
     /// rows need no resizing — a cluster with no mass simply has no
@@ -667,11 +660,11 @@ mod tests {
     }
 
     #[test]
-    fn refresh_mass_tracks_moves() {
+    fn rebuild_tracks_moves() {
         let (mut ov, store, w) = fixture();
         let mut idx = RecallIndex::build(&ov, &store, &w);
         ov.move_peer(PeerId(2), ClusterId(0));
-        idx.refresh_mass(&ov);
+        idx.rebuild(&ov);
         let q2 = idx.qid(&Query::keyword(Sym(2))).unwrap();
         assert!((idx.cluster_mass(q2, ClusterId(0)) - 1.0).abs() < 1e-12);
         assert_eq!(idx.cluster_mass(q2, ClusterId(2)), 0.0);
@@ -708,7 +701,7 @@ mod tests {
         let (mut ov, store, w) = fixture();
         let mut idx = RecallIndex::build(&ov, &store, &w);
         ov.unassign(PeerId(1));
-        idx.refresh_mass(&ov);
+        idx.rebuild(&ov);
         let q1 = idx.qid(&Query::keyword(Sym(1))).unwrap();
         // Only p0's share remains in c0. (Totals still count p1's data —
         // callers rebuild the index when content actually changes.)

@@ -61,6 +61,58 @@ impl AltruisticStrategy {
             self.contribution_num[peer.index()][cid.index()] / total
         }
     }
+
+    /// Panics, naming `strategy`, unless [`RelocationStrategy::prepare`]
+    /// has filled the contribution matrix.
+    pub(super) fn assert_prepared(&self, strategy: &str) {
+        assert!(
+            !self.totals.is_empty(),
+            "{strategy}::prepare must run before propose"
+        );
+    }
+}
+
+/// The altruistic decision (§3.1.2) of `peer`, now in `current`, over a
+/// contribution source; [`AltruisticStrategy`] and the observed adapter
+/// share it. The first admissible cluster of maximal contribution is
+/// proposed when it is not `current` and its `clgain` clears
+/// [`COST_EPS`].
+///
+/// Scans every cluster id rather than the best-response candidate
+/// order: an observed estimate for a cluster that emptied after the
+/// snapshot can differ from another empty cluster's, so no empty slot
+/// stands for the rest.
+pub(super) fn altruistic_choice(
+    view: &SystemView<'_>,
+    peer: PeerId,
+    current: ClusterId,
+    allow_empty: bool,
+    contribution: impl Fn(ClusterId) -> f64,
+) -> Option<Proposal> {
+    let overlay = view.overlay();
+    let mut best: Option<(ClusterId, f64)> = None;
+    for cid in overlay.cluster_ids() {
+        if overlay.cluster(cid).is_empty() && !allow_empty {
+            continue;
+        }
+        let c = contribution(cid);
+        let better = match best {
+            None => true,
+            Some((_, b)) => c > b + f64::EPSILON,
+        };
+        if better {
+            best = Some((cid, c));
+        }
+    }
+    let (cnew, contribution_new) = best?;
+    if cnew == current {
+        return None;
+    }
+    let clgain = contribution_new - contribution(current) - membership_increase(view, peer, cnew);
+    (clgain > COST_EPS).then_some(Proposal {
+        to: cnew,
+        gain: clgain,
+    })
 }
 
 impl RelocationStrategy for AltruisticStrategy {
@@ -106,46 +158,14 @@ impl RelocationStrategy for AltruisticStrategy {
     }
 
     fn propose(&self, view: &SystemView<'_>, peer: PeerId, allow_empty: bool) -> Option<Proposal> {
-        assert!(
-            !self.totals.is_empty(),
-            "AltruisticStrategy::prepare must run before propose"
-        );
+        self.assert_prepared("AltruisticStrategy");
         let current = view.overlay().cluster_of(peer)?;
         if self.totals[peer.index()] == 0.0 {
             return None; // the peer serves nobody; altruism is moot
         }
-        // The cluster with the maximum contribution (§3.1.2). Empty
-        // clusters have zero contribution and are therefore never
-        // selected, regardless of `allow_empty`.
-        let mut best: Option<(ClusterId, f64)> = None;
-        for cid in view.overlay().cluster_ids() {
-            if view.overlay().cluster(cid).is_empty() && !allow_empty {
-                continue;
-            }
-            let c = self.contribution(peer, cid);
-            let better = match best {
-                None => true,
-                Some((_, b)) => c > b + f64::EPSILON,
-            };
-            if better {
-                best = Some((cid, c));
-            }
-        }
-        let (cnew, contribution_new) = best?;
-        if cnew == current {
-            return None;
-        }
-        let clgain = contribution_new
-            - self.contribution(peer, current)
-            - membership_increase(view, peer, cnew);
-        if clgain > COST_EPS {
-            Some(Proposal {
-                to: cnew,
-                gain: clgain,
-            })
-        } else {
-            None
-        }
+        altruistic_choice(view, peer, current, allow_empty, |cid| {
+            self.contribution(peer, cid)
+        })
     }
 }
 
@@ -251,6 +271,14 @@ mod tests {
     fn propose_without_prepare_panics() {
         let mut sys = provider_system(1, 1, 1.0);
         let s = AltruisticStrategy::new();
+        let _ = s.propose(&sys.view(), PeerId(0), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "prepare must run")]
+    fn hybrid_propose_without_prepare_panics() {
+        let mut sys = provider_system(1, 1, 1.0);
+        let s = crate::strategy::HybridStrategy::new(0.5);
         let _ = s.propose(&sys.view(), PeerId(0), true);
     }
 }

@@ -17,13 +17,20 @@
 
 use recluster_types::{ClusterId, PeerId};
 
-use crate::cost::{pcost, pcost_current};
+use crate::cost::pcost;
 use crate::equilibrium::COST_EPS;
 use crate::strategy::{membership_increase, AltruisticStrategy, Proposal, RelocationStrategy};
 use crate::system::System;
 use crate::view::SystemView;
 
 /// The hybrid strategy with mixing weight `λ ∈ [0, 1]`.
+///
+/// Like [`AltruisticStrategy`], call [`RelocationStrategy::prepare`]
+/// once per round to (re)compute the contribution matrix before
+/// proposing.
+///
+/// # Panics
+/// [`RelocationStrategy::propose`] panics if `prepare` has not run.
 #[derive(Debug, Clone)]
 pub struct HybridStrategy {
     lambda: f64,
@@ -62,32 +69,63 @@ impl RelocationStrategy for HybridStrategy {
     }
 
     fn propose(&self, view: &SystemView<'_>, peer: PeerId, allow_empty: bool) -> Option<Proposal> {
+        self.altruism.assert_prepared("HybridStrategy");
         let current = view.overlay().cluster_of(peer)?;
-        let current_cost = pcost_current(view, peer);
-        let current_contribution = self.altruism.contribution(peer, current);
-        let mut best: Option<(ClusterId, f64)> = None;
-        for cid in view.overlay().cluster_ids() {
-            if cid == current {
-                continue;
-            }
-            if view.overlay().cluster(cid).is_empty() && !allow_empty {
-                continue;
-            }
-            let pgain = current_cost - pcost(view, peer, cid);
-            let clgain = self.altruism.contribution(peer, cid)
-                - current_contribution
-                - membership_increase(view, peer, cid);
-            let score = self.lambda * pgain + (1.0 - self.lambda) * clgain;
-            let better = match best {
-                None => score > COST_EPS,
-                Some((_, b)) => score > b + f64::EPSILON,
-            };
-            if better {
-                best = Some((cid, score));
-            }
-        }
-        best.map(|(to, gain)| Proposal { to, gain })
+        hybrid_choice(
+            view,
+            peer,
+            current,
+            allow_empty,
+            self.lambda,
+            |cid| self.altruism.contribution(peer, cid),
+            |cid| Some(pcost(view, peer, cid)),
+        )
     }
+}
+
+/// The hybrid decision of `peer`, now in `current`, over a contribution
+/// source and a cost source; [`HybridStrategy`] and the observed adapter
+/// share it. The first admissible cluster other than `current` of
+/// maximal `λ·pgain + (1 − λ)·clgain` is proposed when that score clears
+/// [`COST_EPS`]. `cost` gives `pcost` (or its estimate) at any cluster,
+/// `current` included; a missing estimate means no proposal.
+///
+/// Scans every cluster id, like
+/// [`altruistic_choice`](super::altruistic::altruistic_choice) and for
+/// the same reason.
+pub(super) fn hybrid_choice(
+    view: &SystemView<'_>,
+    peer: PeerId,
+    current: ClusterId,
+    allow_empty: bool,
+    lambda: f64,
+    contribution: impl Fn(ClusterId) -> f64,
+    cost: impl Fn(ClusterId) -> Option<f64>,
+) -> Option<Proposal> {
+    let overlay = view.overlay();
+    let current_cost = cost(current)?;
+    let current_contribution = contribution(current);
+    let mut best: Option<(ClusterId, f64)> = None;
+    for cid in overlay.cluster_ids() {
+        if cid == current {
+            continue;
+        }
+        if overlay.cluster(cid).is_empty() && !allow_empty {
+            continue;
+        }
+        let pgain = current_cost - cost(cid)?;
+        let clgain =
+            contribution(cid) - current_contribution - membership_increase(view, peer, cid);
+        let score = lambda * pgain + (1.0 - lambda) * clgain;
+        let better = match best {
+            None => score > COST_EPS,
+            Some((_, b)) => score > b + f64::EPSILON,
+        };
+        if better {
+            best = Some((cid, score));
+        }
+    }
+    best.map(|(to, gain)| Proposal { to, gain })
 }
 
 #[cfg(test)]

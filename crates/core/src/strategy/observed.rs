@@ -6,19 +6,24 @@
 //! gathered over the last period(s), folded into an
 //! [`ObservedStats`](crate::tracker::ObservedStats) accumulator. The
 //! [`ObservedStrategy`] adapter evaluates the same three objectives
-//! (selfish / altruistic / hybrid) over those estimates instead, using
-//! the *same candidate enumeration and tie-break rules* as the oracle
-//! strategies — so under flood (or exact-summary) routing with decay
-//! disabled the selfish variant reproduces the oracle `best_response`
-//! decision exactly (the `prop_observed` keystone), and under `lossy:<k>`
-//! routing its decisions degrade with the observation precision.
+//! (selfish / altruistic / hybrid) over those estimates instead. The
+//! loops are shared, not mirrored: the selfish choice iterates the
+//! oracle `best_response`'s own candidate order, and the altruistic and
+//! hybrid decisions are the oracle strategies' functions fed observed
+//! contributions and costs. So under flood (or exact-summary) routing
+//! with decay disabled the selfish variant reproduces the oracle
+//! `best_response` decision exactly (the `prop_observed` keystone), and
+//! under `lossy:<k>` routing its decisions degrade with the observation
+//! precision.
 
 use std::fmt;
 
 use recluster_types::PeerId;
 
+use super::altruistic::altruistic_choice;
+use super::hybrid::hybrid_choice;
 use crate::equilibrium::COST_EPS;
-use crate::strategy::{membership_increase, Proposal, RelocationStrategy};
+use crate::strategy::{Proposal, RelocationStrategy};
 use crate::tracker::ObservedStats;
 use crate::view::SystemView;
 
@@ -166,64 +171,19 @@ impl RelocationStrategy for ObservedStrategy<'_> {
                 if self.stats.served_total(peer) == 0.0 {
                     return None; // the peer serves nobody; altruism is moot
                 }
-                // Maximum observed contribution, mirroring the oracle
-                // altruistic scan (empty clusters contribute nothing and
-                // are skipped outright when forbidden).
-                let mut best = None;
-                for cid in view.overlay().cluster_ids() {
-                    if view.overlay().cluster(cid).is_empty() && !allow_empty {
-                        continue;
-                    }
-                    let c = self.stats.estimated_contribution(peer, cid);
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => c > b + f64::EPSILON,
-                    };
-                    if better {
-                        best = Some((cid, c));
-                    }
-                }
-                let (cnew, contribution_new) = best?;
-                if cnew == current {
-                    return None;
-                }
-                let clgain = contribution_new
-                    - self.stats.estimated_contribution(peer, current)
-                    - membership_increase(view, peer, cnew);
-                (clgain > COST_EPS).then_some(Proposal {
-                    to: cnew,
-                    gain: clgain,
+                altruistic_choice(view, peer, current, allow_empty, |cid| {
+                    self.stats.estimated_contribution(peer, cid)
                 })
             }
-            ObservedObjective::Hybrid(lambda) => {
-                let current_cost =
-                    self.stats
-                        .estimated_pcost(view, peer, current, Some(current))?;
-                let current_contribution = self.stats.estimated_contribution(peer, current);
-                let mut best = None;
-                for cid in view.overlay().cluster_ids() {
-                    if cid == current {
-                        continue;
-                    }
-                    if view.overlay().cluster(cid).is_empty() && !allow_empty {
-                        continue;
-                    }
-                    let pgain = current_cost
-                        - self.stats.estimated_pcost(view, peer, cid, Some(current))?;
-                    let clgain = self.stats.estimated_contribution(peer, cid)
-                        - current_contribution
-                        - membership_increase(view, peer, cid);
-                    let score = lambda * pgain + (1.0 - lambda) * clgain;
-                    let better = match best {
-                        None => score > COST_EPS,
-                        Some((_, b)) => score > b + f64::EPSILON,
-                    };
-                    if better {
-                        best = Some((cid, score));
-                    }
-                }
-                best.map(|(to, gain)| Proposal { to, gain })
-            }
+            ObservedObjective::Hybrid(lambda) => hybrid_choice(
+                view,
+                peer,
+                current,
+                allow_empty,
+                lambda,
+                |cid| self.stats.estimated_contribution(peer, cid),
+                |cid| self.stats.estimated_pcost(view, peer, cid, Some(current)),
+            ),
         }
     }
 }

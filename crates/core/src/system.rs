@@ -7,7 +7,7 @@
 //! workload changes, so the index, the routing summaries and the
 //! [`CostCache`] never go stale: every mutator applies a symmetric
 //! delta to all three, and the from-scratch rebuilds are kept only as
-//! oracles (and as repair steps after the `*_mut` escape hatches).
+//! oracles (and as repair steps after [`System::overlay_mut`]).
 
 use std::cell::{Ref, RefCell};
 use std::sync::Arc;
@@ -57,17 +57,14 @@ impl Default for GameConfig {
 /// Sharing is invisible to readers: a mutator that writes a shared part
 /// first takes its own copy of that part (`Arc::make_mut`, which copies
 /// nothing when no other clone holds it). The store is written by
-/// [`System::apply_churn_event`] (except a no-op leave),
-/// [`System::set_content`] / [`System::set_contents`] and
-/// [`System::store_mut`]; the workload table by
-/// [`System::set_workload`] / [`System::set_workloads`],
-/// [`System::workloads_mut`], and a [`System::join_peer`] or churn join
-/// that grows the slot table. An index row that changes is replaced
-/// whole, so the other side keeps reading the old one. Moves,
-/// [`System::leave_peer`] and a join into an existing slot write none
-/// of them, so a clone that only relocates peers (such as the reference
-/// repair of an audited observed period) keeps sharing all of it with
-/// its origin.
+/// [`System::apply_churn_event`] (except a no-op leave) and
+/// [`System::set_content`] / [`System::set_contents`]; the workload
+/// table by [`System::set_workload`] / [`System::set_workloads`] and a
+/// churn join that grows the slot table. An index row that changes is
+/// replaced whole, so the other side keeps reading the old one. Moves
+/// write none of them, so a clone that only relocates peers (such as
+/// the reference repair of an audited observed period) keeps sharing
+/// all of it with its origin.
 #[derive(Debug, Clone)]
 pub struct System {
     overlay: Overlay,
@@ -270,53 +267,6 @@ impl System {
         }
     }
 
-    /// Assigns an unassigned (departed or freshly grown but
-    /// already-indexed) peer to a cluster, delta-updating the masses.
-    ///
-    /// # Panics
-    /// Panics if the peer is already assigned.
-    pub fn join_peer(&mut self, peer: PeerId, to: ClusterId) {
-        self.overlay.assign(peer, to);
-        self.grow_workloads();
-        self.index.ensure_cmax(self.overlay.cmax());
-        self.index.ensure_peer_slots(self.overlay.n_slots());
-        self.index.apply_join(peer, to);
-        self.summaries.ensure_cmax(self.overlay.cmax());
-        self.summaries.apply_join(self.store.docs(peer), to);
-        self.cache.get_mut().ensure_slots(self.overlay.n_slots());
-        self.mark_mass_dependents(peer, to, None);
-        let demand = self.workloads[peer.index()].total();
-        let cache = self.cache.get_mut();
-        cache.mark(peer.index());
-        cache.add_live_demand(demand);
-        // |P| changed: every membership term (and so every memoized
-        // proposal) is stale.
-        self.epochs.ensure_cmax(self.overlay.cmax());
-        self.epochs.bump_global();
-    }
-
-    /// Removes a peer from its cluster (churn leave), delta-updating the
-    /// masses. The peer's content stays in the store — and therefore in
-    /// the index's totals — exactly as a rebuild would see it; when the
-    /// documents are actually dropped, route the change through
-    /// [`System::set_content`] or [`System::apply_churn_event`] instead.
-    /// Returns the former cluster, `None` if already departed.
-    pub fn leave_peer(&mut self, peer: PeerId) -> Option<ClusterId> {
-        let from = self.overlay.unassign(peer)?;
-        self.index.apply_leave(peer, from);
-        // The departed peer's documents become unreachable by routing
-        // even though they stay in the store (and the index totals).
-        self.summaries.apply_leave(self.store.docs(peer), from);
-        self.mark_mass_dependents(peer, from, None);
-        let demand = self.workloads[peer.index()].total();
-        let cache = self.cache.get_mut();
-        cache.mark(peer.index());
-        cache.sub_live_demand(demand);
-        // |P| changed: global invalidation.
-        self.epochs.bump_global();
-        Some(from)
-    }
-
     /// Applies a churn event through the overlay hook and folds the
     /// emitted [`ChurnDelta`] into every derived structure — recall
     /// index (masses *and* content totals), routing summaries and cost
@@ -488,9 +438,8 @@ impl System {
 
     /// Rebuilds the recall index from scratch. With every mutator
     /// delta-maintaining the index this is no longer needed on any hot
-    /// path; it remains the repair step after mutating state through
-    /// [`System::overlay_mut`] / [`System::store_mut`] /
-    /// [`System::workloads_mut`], and the from-scratch reference the
+    /// path; it remains a repair step after mutating the overlay through
+    /// [`System::overlay_mut`], and the from-scratch reference the
     /// equivalence suites compare the deltas against.
     pub fn rebuild_index(&mut self) {
         self.index = RecallIndex::build(&self.overlay, &self.store, &self.workloads);
@@ -499,45 +448,22 @@ impl System {
         self.cache.get_mut().mark_all();
     }
 
-    /// Rebuilds the cluster summaries from scratch — the oracle for the
-    /// delta hooks, and the repair step after mutating membership or
-    /// content through [`System::overlay_mut`] / [`System::store_mut`]
-    /// directly.
-    pub fn rebuild_summaries(&mut self) {
-        self.summaries = ClusterSummaries::build(&self.overlay, &self.store);
-    }
-
     /// Mutable access to the overlay for substrate-level operations;
     /// the caller must call [`System::rebuild_index`] or
-    /// [`System::refresh_mass`] afterwards as appropriate. The cost
-    /// cache is conservatively invalidated wholesale.
+    /// [`System::refresh_mass`] afterwards as appropriate. Neither
+    /// repairs the routing summaries, so cluster-directed routing must
+    /// not follow. The cost cache is conservatively invalidated
+    /// wholesale.
     pub fn overlay_mut(&mut self) -> &mut Overlay {
         self.cache.get_mut().mark_all();
         &mut self.overlay
     }
 
-    /// Mutable access to the content store; pair with
-    /// [`System::rebuild_index`] (and [`System::rebuild_summaries`] when
-    /// routing is used afterwards). Prefer [`System::set_content`],
-    /// which applies the change as a delta instead.
-    pub fn store_mut(&mut self) -> &mut ContentStore {
-        self.cache.get_mut().mark_all();
-        Arc::make_mut(&mut self.store)
-    }
-
-    /// Mutable access to the workloads; pair with
-    /// [`System::rebuild_index`]. Prefer [`System::set_workload`], which
-    /// applies the change as a delta instead.
-    pub fn workloads_mut(&mut self) -> &mut Vec<Workload> {
-        self.cache.get_mut().mark_all();
-        Arc::make_mut(&mut self.workloads)
-    }
-
-    /// Refreshes cluster masses after external membership changes. Recall
-    /// masses only — pair with [`System::rebuild_summaries`] when
-    /// cluster-directed routing is used afterwards.
+    /// Refreshes cluster masses after external membership changes
+    /// through [`System::overlay_mut`]. Recall masses only: the routing
+    /// summaries stay as they were.
     pub fn refresh_mass(&mut self) {
-        self.index.refresh_mass(&self.overlay);
+        self.index.rebuild(&self.overlay);
         self.cache.get_mut().mark_all();
     }
 }
@@ -644,34 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn leave_and_join_keep_masses_consistent() {
-        let mut sys = tiny();
-        let q = sys.index().qid(&Query::keyword(Sym(2))).unwrap();
-        assert_eq!(sys.leave_peer(PeerId(1)), Some(ClusterId(0)));
-        assert_eq!(sys.index().cluster_mass(q, ClusterId(0)), 0.0);
-        assert_eq!(sys.n_peers(), 1);
-        sys.join_peer(PeerId(1), ClusterId(1));
-        assert!((sys.index().cluster_mass(q, ClusterId(1)) - 1.0).abs() < 1e-12);
-        assert_eq!(sys.leave_peer(PeerId(1)), Some(ClusterId(1)));
-        assert_eq!(sys.leave_peer(PeerId(1)), None, "double leave is a no-op");
-    }
-
-    #[test]
-    fn join_of_grown_peer_keeps_tables_in_lockstep() {
-        let mut sys = tiny();
-        let p = sys.overlay_mut().grow();
-        let slot = sys.store_mut().grow();
-        assert_eq!(p, slot);
-        sys.join_peer(p, ClusterId(0));
-        assert_eq!(sys.workloads().len(), sys.overlay().n_slots());
-        // The observed-statistics path walks every live peer's workload
-        // slot: a fresh joiner must not leave the table short.
-        let mut net = recluster_overlay::SimNetwork::new();
-        let obs = crate::tracker::simulate_period(&sys, &mut net);
-        assert_eq!(obs.of(p).len(), 0);
-    }
-
-    #[test]
     fn move_peer_matches_rebuild_exactly() {
         let mut sys = tiny();
         sys.move_peer(PeerId(1), ClusterId(1));
@@ -724,6 +622,12 @@ mod tests {
         assert_eq!(sys.index().total(q), 2, "newcomer's doc counted");
         assert_eq!(sys.index().cluster_mass_num(q, ClusterId(0)), 2);
         assert_eq!(sys.index().result(q, delta.peer()), 1);
+        // The joiner grew every slot table, the workload table included:
+        // the observed-statistics path walks every live peer's workload
+        // slot, so a fresh joiner must not leave it short.
+        assert_eq!(sys.workloads().len(), sys.overlay().n_slots());
+        let obs = crate::tracker::simulate_period(&sys, &mut net);
+        assert_eq!(obs.of(delta.peer()).len(), 0);
     }
 
     #[test]
@@ -776,13 +680,10 @@ mod tests {
     fn clone_shares_what_a_move_does_not_write() {
         let mut a = trio();
         let mut b = a.clone();
-        // Moves on either side, and a leave and re-join of an existing
-        // slot, write only owned state.
+        // Moves on either side write only owned state.
         a.move_peer(PeerId(1), ClusterId(1));
         b.move_peer(PeerId(0), ClusterId(2));
         b.move_peers(&[(PeerId(2), ClusterId(0)), (PeerId(1), ClusterId(2))]);
-        assert_eq!(b.leave_peer(PeerId(2)), Some(ClusterId(0)));
-        b.join_peer(PeerId(2), ClusterId(1));
         assert_ne!(a.overlay(), b.overlay());
         assert!(std::ptr::eq(a.store(), b.store()), "store unshared");
         assert_eq!(

@@ -57,7 +57,7 @@ use recluster_types::{ClusterId, PeerId, Query, Workload};
 use crate::recall::{QueryId, RecallIndex};
 
 use crate::costcache::CostCache;
-use crate::equilibrium::COST_EPS;
+use crate::equilibrium::{candidate_order, COST_EPS};
 use crate::system::System;
 use crate::view::SystemRead;
 
@@ -1027,10 +1027,11 @@ impl ObservedStats {
     /// when the accumulator holds no observations of `peer`, or when
     /// there are no candidate clusters at all.
     ///
-    /// Scans exactly the candidate set of the oracle
-    /// [`best_response`](crate::equilibrium::best_response) — non-empty
-    /// clusters in ascending id order, with the *first* empty slot
-    /// interleaved at its id position when `allow_empty` — and applies
+    /// Iterates the candidate order of the oracle
+    /// [`best_response`](crate::equilibrium::best_response), through the
+    /// same function — non-empty clusters in ascending id order, with
+    /// the *first* empty slot at its id position when `allow_empty` —
+    /// and applies
     /// the same [`COST_EPS`] stay-on-tie rule (the incumbent seeds the
     /// scan), so observed and oracle selection can only diverge when
     /// the cost *estimates* diverge, never on candidate enumeration or
@@ -1045,29 +1046,14 @@ impl ObservedStats {
         let (folded, records) = self.records(peer)?;
         let cost_of = |cid| folded.pcost(records, system, cid, currently_in);
         let mut best: Option<(ClusterId, f64)> = currently_in.map(|cur| (cur, cost_of(cur)));
-        let mut consider = |cid: ClusterId| {
+        for cid in candidate_order(system.overlay(), allow_empty) {
             if currently_in == Some(cid) {
-                return; // already seeded as the incumbent
+                continue; // already seeded as the incumbent
             }
             let cost = cost_of(cid);
             if best.is_none_or(|(_, b)| cost < b - COST_EPS) {
                 best = Some((cid, cost));
             }
-        };
-        let mut pending_empty = if allow_empty {
-            system.overlay().first_empty_cluster()
-        } else {
-            None
-        };
-        for &cid in system.overlay().non_empty_ids() {
-            if let Some(empty) = pending_empty.filter(|&empty| empty < cid) {
-                consider(empty);
-                pending_empty = None;
-            }
-            consider(cid);
-        }
-        if let Some(empty) = pending_empty {
-            consider(empty);
         }
         best
     }

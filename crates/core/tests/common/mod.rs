@@ -7,7 +7,7 @@
 //! so the universe is defined once here: adding a new mutator to
 //! `System` means extending one interpreter and every suite faces it.
 //! (`prop_routing.rs` keeps its own, deliberately different universe:
-//! fewer peers, no plain leave/join, routing-shaped workloads.)
+//! fewer peers, routing-shaped workloads.)
 
 use proptest::prelude::*;
 use recluster_core::{GameConfig, System};
@@ -23,8 +23,6 @@ pub const N_SYMS: u32 = 6;
 #[derive(Debug, Clone)]
 pub enum Op {
     Move { peer: u32, to: u32 },
-    Leave { peer: u32 },
-    Join { peer: u32, to: u32 },
     ChurnLeave { peer: u32 },
     ChurnJoin { to: u32, doc_syms: Vec<u32> },
     SetContent { peer: u32, doc_syms: Vec<u32> },
@@ -56,9 +54,6 @@ pub fn arb_ops(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             (0u32..N_PEERS as u32, 0u32..N_PEERS as u32)
                 .prop_map(|(peer, to)| Op::Move { peer, to }),
-            (0u32..N_PEERS as u32).prop_map(|peer| Op::Leave { peer }),
-            (0u32..N_PEERS as u32, 0u32..N_PEERS as u32)
-                .prop_map(|(peer, to)| Op::Join { peer, to }),
             (0u32..N_PEERS as u32).prop_map(|peer| Op::ChurnLeave { peer }),
             (0u32..N_PEERS as u32, syms())
                 .prop_map(|(to, doc_syms)| Op::ChurnJoin { to, doc_syms }),
@@ -127,16 +122,6 @@ pub fn apply(sys: &mut System, net: &mut SimNetwork, op: Op) {
             let to = ClusterId(to % sys.overlay().cmax() as u32);
             if sys.overlay().cluster_of(peer).is_some() {
                 sys.move_peer(peer, to);
-            }
-        }
-        Op::Leave { peer } => {
-            let _ = sys.leave_peer(PeerId(peer));
-        }
-        Op::Join { peer, to } => {
-            let peer = PeerId(peer);
-            let to = ClusterId(to % sys.overlay().cmax() as u32);
-            if sys.overlay().cluster_of(peer).is_none() {
-                sys.join_peer(peer, to);
             }
         }
         Op::ChurnLeave { peer } => {

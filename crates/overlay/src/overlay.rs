@@ -41,9 +41,7 @@ impl Cluster {
     }
 
     /// The cluster representative (§3.2): deterministically the
-    /// lowest-id member. "The representatives of each cluster do not need
-    /// to be the same in all rounds" — see [`Overlay::representative_at`]
-    /// for the rotating variant.
+    /// lowest-id member.
     pub fn representative(&self) -> Option<PeerId> {
         self.members.first().copied()
     }
@@ -263,18 +261,6 @@ impl Overlay {
         peer
     }
 
-    /// The representative of cluster `cid` for protocol round `round`.
-    /// Rotates over the members so the role is shared (§3.2 allows the
-    /// representative to differ between rounds).
-    pub fn representative_at(&self, cid: ClusterId, round: usize) -> Option<PeerId> {
-        let members = self.clusters[cid.index()].members();
-        if members.is_empty() {
-            None
-        } else {
-            Some(members[round % members.len()])
-        }
-    }
-
     /// Cluster sizes indexed by cluster id.
     pub fn sizes(&self) -> Vec<usize> {
         self.clusters.iter().map(Cluster::len).collect()
@@ -380,19 +366,6 @@ mod tests {
         ov.move_peer(PeerId(2), ClusterId(1));
         ov.move_peer(PeerId(0), ClusterId(1));
         assert_eq!(ov.cluster(ClusterId(1)).representative(), Some(PeerId(0)));
-    }
-
-    #[test]
-    fn representative_rotates_by_round() {
-        let mut ov = Overlay::singletons(3);
-        ov.move_peer(PeerId(1), ClusterId(0));
-        ov.move_peer(PeerId(2), ClusterId(0));
-        let c = ClusterId(0);
-        assert_eq!(ov.representative_at(c, 0), Some(PeerId(0)));
-        assert_eq!(ov.representative_at(c, 1), Some(PeerId(1)));
-        assert_eq!(ov.representative_at(c, 2), Some(PeerId(2)));
-        assert_eq!(ov.representative_at(c, 3), Some(PeerId(0)));
-        assert_eq!(ov.representative_at(ClusterId(1), 5), None);
     }
 
     #[test]
