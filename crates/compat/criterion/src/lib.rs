@@ -24,6 +24,7 @@
 
 use std::fmt::Display;
 use std::io::Write as _;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Re-export of [`std::hint::black_box`], criterion's optimizer barrier.
@@ -238,9 +239,30 @@ impl Bencher {
 
 /// Whether quick mode is on (`RECLUSTER_BENCH_QUICK=1`): samples are
 /// capped and the measurement budget shrunk so CI can smoke-run a bench
-/// in seconds. Numbers from quick runs are indicative only.
+/// in seconds. Numbers from quick runs are indicative only. Read once;
+/// a value [`parse_flag`] rejects warns on stderr and leaves quick mode
+/// off.
 fn quick_mode() -> bool {
-    std::env::var("RECLUSTER_BENCH_QUICK").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+    static QUICK: OnceLock<bool> = OnceLock::new();
+    *QUICK.get_or_init(|| {
+        let Ok(raw) = std::env::var("RECLUSTER_BENCH_QUICK") else {
+            return false;
+        };
+        parse_flag(&raw).unwrap_or_else(|| {
+            eprintln!("unknown RECLUSTER_BENCH_QUICK={raw:?}, ignoring");
+            false
+        })
+    })
+}
+
+/// Parses a flag: `1`/`true` or `0`/`false` (either case), the values
+/// `recluster_sim::knobs::parse_flag` accepts.
+fn parse_flag(s: &str) -> Option<bool> {
+    match s.to_ascii_lowercase().as_str() {
+        "1" | "true" => Some(true),
+        "0" | "false" => Some(false),
+        _ => None,
+    }
 }
 
 /// Appends one metric to the `RECLUSTER_BENCH_JSON` sink (no-op when the
@@ -366,6 +388,19 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flags_parse_both_spellings_and_reject_the_rest() {
+        for on in ["1", "true", "TRUE", "True"] {
+            assert_eq!(parse_flag(on), Some(true), "{on:?}");
+        }
+        for off in ["0", "false", "FALSE"] {
+            assert_eq!(parse_flag(off), Some(false), "{off:?}");
+        }
+        for bad in ["yes", "on", "", " 1", "2", "-1", "truee"] {
+            assert_eq!(parse_flag(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn iter_and_iter_batched_measure() {

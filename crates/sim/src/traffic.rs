@@ -62,12 +62,13 @@ use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use recluster_core::recall::QueryId;
 use recluster_core::{scost_normalized, DecisionSource, ForwardHistogram, ProtocolConfig, System};
 use recluster_corpus::{QueryBias, QuerySampler, WorkloadBuilder, Zipf};
 use recluster_overlay::{
     ClusterSummaries, MsgKind, RoutePlan, RoutingMode, SimNetwork, SummaryMode,
 };
-use recluster_types::{derive_seed, seeded_rng, ClusterId, PeerId, Query};
+use recluster_types::{derive_seed, seeded_rng, ClusterId, PeerId, Query, Sym};
 
 use crate::maintenance::{FidelityReport, Maintenance};
 use crate::report::Fnv;
@@ -199,21 +200,35 @@ impl WorkloadDynamics {
         (rank + shift) % self.n_categories
     }
 
-    /// Samples one slice's query stream, coalesced to distinct queries
-    /// with occurrence counts (sorted — `BTreeMap` — so downstream
-    /// iteration order is deterministic). Advances `rng` by exactly the
-    /// occurrence count drawn.
+    /// Samples one slice's query stream, coalesced to distinct keyword
+    /// queries with occurrence counts (sorted — `BTreeMap` — so
+    /// downstream iteration order is deterministic). Each base
+    /// occurrence draws two values from `rng` (a popularity rank, then
+    /// a word); each flash occurrence draws one `gen_range` (a flash
+    /// topic) and one value (a word).
     pub fn sample_slice(
         &self,
         cfg: &TrafficConfig,
         t: usize,
         rng: &mut StdRng,
     ) -> BTreeMap<Query, u64> {
-        let mut out: BTreeMap<Query, u64> = BTreeMap::new();
+        let mut syms = Vec::new();
+        self.draw_slice(cfg, t, rng, &mut syms);
+        slice_runs(&syms)
+            .map(|(sym, occ)| (Query::keyword(sym), occ))
+            .collect()
+    }
+
+    /// The draws of [`WorkloadDynamics::sample_slice`], in the same
+    /// order, as one keyword symbol per occurrence into `out` (cleared
+    /// first), sorted so that [`slice_runs`] yields the distinct
+    /// queries in `Query` order.
+    fn draw_slice(&self, cfg: &TrafficConfig, t: usize, rng: &mut StdRng, out: &mut Vec<Sym>) {
+        out.clear();
         for _ in 0..self.slice_rate(cfg, t) {
             let rank = self.zipf.sample(rng);
             let cat = self.topic_at(cfg, t, rank);
-            *out.entry(self.samplers[cat].sample(rng)).or_insert(0) += 1;
+            out.push(self.samplers[cat].sample_sym(rng));
         }
         if let Some((window, extra)) = self.flash_at(cfg, t) {
             // The window's topic set is a deterministic function of its
@@ -221,11 +236,20 @@ impl WorkloadDynamics {
             for _ in 0..extra {
                 let pick = rng.gen_range(0..cfg.flash_topics);
                 let cat = (window * 7 + pick) % self.n_categories;
-                *out.entry(self.samplers[cat].sample(rng)).or_insert(0) += 1;
+                out.push(self.samplers[cat].sample_sym(rng));
             }
         }
-        out
+        out.sort_unstable();
     }
+}
+
+/// The runs of equal symbols in a sorted slice draw: each distinct
+/// keyword once, ascending, with its occurrence count. A keyword
+/// query's order is its symbol's, so this is the order of
+/// [`WorkloadDynamics::sample_slice`]'s map.
+fn slice_runs(syms: &[Sym]) -> impl Iterator<Item = (Sym, u64)> + '_ {
+    syms.chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u64))
 }
 
 /// One repair window's aggregates (the stretch of slices since the
@@ -450,48 +474,131 @@ impl TrafficReport {
 /// miss walks the cluster's members once. Both count as one distinct
 /// evaluation.
 ///
+/// A cluster's entries live in a [`ClusterCache`], allocated on the
+/// cluster's first evaluation (only the live clusters of a `Cmax`-slot
+/// overlay ever get one). Queries in the index universe sit in a row
+/// indexed by [`QueryId`], so a hit is one array read; the rest sit in
+/// a map keyed by the query.
+///
 /// [`RecallIndex`]: recluster_core::RecallIndex
 struct EvalCache {
-    per_cluster: Vec<BTreeMap<Query, u64>>,
+    per_cluster: Vec<Option<Box<ClusterCache>>>,
     misses: u64,
+    /// The map-per-cluster cache this one replaced, run in lockstep by
+    /// the tests: every evaluation and miss count must agree with it.
+    #[cfg(test)]
+    reference: Option<tests::ReferenceCache>,
+}
+
+/// One cluster's cached results.
+struct ClusterCache {
+    /// Bumped by every invalidation: a row cell holds a live value only
+    /// while it carries the current generation, so invalidating never
+    /// touches the row.
+    generation: u64,
+    /// Per [`QueryId`]: `(generation, results)`. Grows with the index
+    /// universe; cells start at generation 0, which is never current.
+    by_qid: Vec<(u64, u64)>,
+    /// Results of queries outside the index universe, cleared by every
+    /// invalidation.
+    outside: BTreeMap<Query, u64>,
 }
 
 impl EvalCache {
     fn new(cmax: usize) -> Self {
-        EvalCache {
-            per_cluster: vec![BTreeMap::new(); cmax],
+        let mut cache = EvalCache {
+            per_cluster: Vec::new(),
             misses: 0,
-        }
+            #[cfg(test)]
+            reference: None,
+        };
+        cache.ensure_cmax(cmax);
+        cache
     }
 
     fn ensure_cmax(&mut self, cmax: usize) {
         if self.per_cluster.len() < cmax {
-            self.per_cluster.resize(cmax, BTreeMap::new());
+            self.per_cluster.resize_with(cmax, || None);
+        }
+        #[cfg(test)]
+        if let Some(reference) = &mut self.reference {
+            reference.ensure_cmax(cmax);
         }
     }
 
     fn invalidate(&mut self, cid: ClusterId) {
-        self.per_cluster[cid.index()].clear();
+        if let Some(cluster) = &mut self.per_cluster[cid.index()] {
+            cluster.generation += 1;
+            cluster.outside.clear();
+        }
+        #[cfg(test)]
+        if let Some(reference) = &mut self.reference {
+            reference.invalidate(cid);
+        }
     }
 
-    /// The results `query` finds in `cid`, from cache, the recall index,
-    /// or (for a query no workload holds) one walk of the members.
-    fn eval(&mut self, system: &System, cid: ClusterId, query: &Query) -> u64 {
-        if let Some(&hit) = self.per_cluster[cid.index()].get(query) {
-            return hit;
-        }
-        self.misses += 1;
-        let results = match system.index().qid(query) {
-            Some(qid) => system.index().cluster_mass_num(qid, cid),
-            None => system
-                .overlay()
-                .cluster(cid)
-                .members()
-                .iter()
-                .map(|&peer| system.store().result_count(query, peer))
-                .sum(),
+    /// The results `query` (with index id `qid`, if it has one) finds in
+    /// `cid`, from cache, the recall index, or (for a query no workload
+    /// holds) one walk of the members.
+    fn eval(
+        &mut self,
+        system: &System,
+        cid: ClusterId,
+        query: &Query,
+        qid: Option<QueryId>,
+    ) -> u64 {
+        let cluster = self.per_cluster[cid.index()].get_or_insert_with(|| {
+            Box::new(ClusterCache {
+                generation: 1,
+                by_qid: Vec::new(),
+                outside: BTreeMap::new(),
+            })
+        });
+        let results = match qid {
+            Some(qid) => {
+                let i = qid as usize;
+                if i >= cluster.by_qid.len() {
+                    cluster.by_qid.resize(system.index().n_queries(), (0, 0));
+                }
+                let (generation, cached) = cluster.by_qid[i];
+                if generation == cluster.generation {
+                    cached
+                } else {
+                    // A query that entered the universe (a joiner's
+                    // workload holds it) after it was cached here keeps
+                    // its cached value: it moves over, no new miss.
+                    let results = cluster.outside.remove(query).unwrap_or_else(|| {
+                        self.misses += 1;
+                        system.index().cluster_mass_num(qid, cid)
+                    });
+                    cluster.by_qid[i] = (cluster.generation, results);
+                    results
+                }
+            }
+            None => match cluster.outside.get(query) {
+                Some(&hit) => hit,
+                None => {
+                    self.misses += 1;
+                    let results = system
+                        .overlay()
+                        .cluster(cid)
+                        .members()
+                        .iter()
+                        .map(|&peer| system.store().result_count(query, peer))
+                        .sum();
+                    cluster.outside.insert(query.clone(), results);
+                    results
+                }
+            },
         };
-        self.per_cluster[cid.index()].insert(query.clone(), results);
+        #[cfg(test)]
+        if let Some(reference) = &mut self.reference {
+            assert_eq!(
+                reference.eval(system, cid, query),
+                results,
+                "{query:?} in {cid}"
+            );
+        }
         results
     }
 }
@@ -511,6 +618,8 @@ pub struct TrafficEngine {
     unpublished_events: u64,
     plan: Option<RoutePlan>,
     cache: EvalCache,
+    /// The current slice's draws, reused across slices.
+    slice: Vec<Sym>,
     /// Maintenance-side ledger (churn, protocol, eager summary hooks).
     net: SimNetwork,
     /// The churn batches, observation passes and repairs.
@@ -556,6 +665,7 @@ impl TrafficEngine {
             unpublished_events: 0,
             plan,
             cache: EvalCache::new(cmax),
+            slice: Vec::new(),
             net: SimNetwork::new(),
             maintenance: Maintenance::new(cfg, &testbed, traffic.decisions),
             testbed,
@@ -582,14 +692,24 @@ impl TrafficEngine {
     /// Runs the full schedule and returns the report.
     pub fn run(mut self) -> TrafficReport {
         for t in 0..self.cfg.slices {
-            if self.cfg.churn_every > 0 && t > 0 && t % self.cfg.churn_every == 0 {
-                self.churn_tick();
-            }
-            if self.cfg.repair_every > 0 && t > 0 && t % self.cfg.repair_every == 0 {
-                self.repair_tick(t);
-            }
+            self.maintain(t);
             self.query_slice(t);
         }
+        self.finish()
+    }
+
+    /// The churn and repair ticks due before slice `t` is served.
+    fn maintain(&mut self, t: usize) {
+        if self.cfg.churn_every > 0 && t > 0 && t.is_multiple_of(self.cfg.churn_every) {
+            self.churn_tick();
+        }
+        if self.cfg.repair_every > 0 && t > 0 && t.is_multiple_of(self.cfg.repair_every) {
+            self.repair_tick(t);
+        }
+    }
+
+    /// Closes the tail window and assembles the report.
+    fn finish(mut self) -> TrafficReport {
         self.close_window(self.cfg.slices, 0);
         let final_scost = scost_normalized(&self.testbed.system);
         TrafficReport {
@@ -700,19 +820,26 @@ impl TrafficEngine {
     }
 
     /// Routes one slice's sampled stream through the (possibly stale)
-    /// plan, evaluating each distinct query once per target cluster via
-    /// the cache and weighting by its occurrence count.
+    /// plan. Each distinct query is evaluated through the cache in every
+    /// live cluster, once per slice: the targets give the returned
+    /// results, the clusters the plan skipped the missed ones, and both
+    /// are weighted by the query's occurrence count.
     fn query_slice(&mut self, t: usize) {
-        let slice = self.dynamics.sample_slice(&self.cfg, t, &mut self.rng);
+        let mut syms = std::mem::take(&mut self.slice);
+        self.dynamics
+            .draw_slice(&self.cfg, t, &mut self.rng, &mut syms);
+        let system = &self.testbed.system;
+        let live: &[ClusterId] = system.overlay().non_empty_ids();
         let mut targets: Vec<ClusterId> = Vec::new();
-        for (query, &occ) in &slice {
-            let live: &[ClusterId] = self.testbed.system.overlay().non_empty_ids();
+        for (sym, occ) in slice_runs(&syms) {
+            let query = Query::keyword(sym);
+            let qid = system.index().qid(&query);
             match &self.plan {
                 None => {
                     targets.clear();
                     targets.extend_from_slice(live);
                 }
-                Some(plan) => plan.route_into(query, &mut targets),
+                Some(plan) => plan.route_into(&query, &mut targets),
             }
             let mut fanned = 0u64;
             let mut returned = 0u64;
@@ -720,11 +847,11 @@ impl TrafficEngine {
                 // A stale plan may point at a cluster that emptied since
                 // the last publication; like `route_to_clusters`, an
                 // empty cluster is skipped without traffic.
-                if self.testbed.system.overlay().cluster(cid).is_empty() {
+                if system.overlay().cluster(cid).is_empty() {
                     continue;
                 }
                 fanned += 1;
-                returned += self.cache.eval(&self.testbed.system, cid, query);
+                returned += self.cache.eval(system, cid, &query, qid);
             }
             // What flooding the *live* overlay would have found in the
             // clusters the plan skipped: lossy drops plus staleness.
@@ -733,7 +860,7 @@ impl TrafficEngine {
                 if targets.binary_search(&cid).is_ok() {
                     continue;
                 }
-                missed += self.cache.eval(&self.testbed.system, cid, query);
+                missed += self.cache.eval(system, cid, &query, qid);
             }
             self.histogram.record(fanned as usize, occ);
             self.queries += occ;
@@ -746,6 +873,7 @@ impl TrafficEngine {
             self.win_returned += returned * occ;
             self.win_missed += missed * occ;
         }
+        self.slice = syms;
     }
 
     fn close_window(&mut self, slice: usize, moves: usize) {
@@ -850,6 +978,8 @@ pub fn traffic_small_observed_config(seed: u64) -> (ExperimentConfig, TrafficCon
 
 #[cfg(test)]
 mod tests {
+    use rand::RngCore;
+
     use super::*;
 
     #[test]
@@ -1005,7 +1135,7 @@ mod tests {
         assert!(!outside.is_empty(), "the stream reaches past the workloads");
         let mut answered = [0usize; 2]; // [index path, walk path]
         for query in index.queries().iter().chain(&outside) {
-            let path = usize::from(index.qid(query).is_none());
+            let qid = index.qid(query);
             for &cid in system.overlay().non_empty_ids() {
                 let walked: u64 = system
                     .overlay()
@@ -1015,17 +1145,261 @@ mod tests {
                     .map(|&peer| system.store().result_count(query, peer))
                     .sum();
                 assert_eq!(
-                    engine.cache.eval(system, cid, query),
+                    engine.cache.eval(system, cid, query, qid),
                     walked,
                     "{query:?} in {cid}"
                 );
-                answered[path] += usize::from(walked > 0);
+                answered[usize::from(qid.is_none())] += usize::from(walked > 0);
             }
         }
         assert!(
             answered.iter().all(|&n| n > 0),
             "both paths see results: {answered:?}"
         );
+    }
+
+    /// The cache [`EvalCache`] replaced: one map per cluster slot,
+    /// cleared on invalidation, probed once per evaluation.
+    pub(super) struct ReferenceCache {
+        per_cluster: Vec<BTreeMap<Query, u64>>,
+        pub(super) misses: u64,
+    }
+
+    impl ReferenceCache {
+        fn new(cmax: usize) -> Self {
+            ReferenceCache {
+                per_cluster: vec![BTreeMap::new(); cmax],
+                misses: 0,
+            }
+        }
+
+        pub(super) fn ensure_cmax(&mut self, cmax: usize) {
+            if self.per_cluster.len() < cmax {
+                self.per_cluster.resize(cmax, BTreeMap::new());
+            }
+        }
+
+        pub(super) fn invalidate(&mut self, cid: ClusterId) {
+            self.per_cluster[cid.index()].clear();
+        }
+
+        pub(super) fn eval(&mut self, system: &System, cid: ClusterId, query: &Query) -> u64 {
+            if let Some(&hit) = self.per_cluster[cid.index()].get(query) {
+                return hit;
+            }
+            self.misses += 1;
+            let results = match system.index().qid(query) {
+                Some(qid) => system.index().cluster_mass_num(qid, cid),
+                None => system
+                    .overlay()
+                    .cluster(cid)
+                    .members()
+                    .iter()
+                    .map(|&peer| system.store().result_count(query, peer))
+                    .sum(),
+            };
+            self.per_cluster[cid.index()].insert(query.clone(), results);
+            results
+        }
+    }
+
+    /// Runs `engine`'s schedule with the reference cache in lockstep:
+    /// every evaluation must return the reference's value (checked in
+    /// [`EvalCache::eval`]), and the miss counts must agree after every
+    /// slice. Returns the report and how many cached values of queries
+    /// that joined the index universe after they were cached moved
+    /// over to the id row.
+    fn run_in_lockstep(cfg: &ExperimentConfig, traffic: TrafficConfig) -> (TrafficReport, usize) {
+        let mut engine = TrafficEngine::new(cfg, traffic);
+        let cmax = engine.testbed.system.overlay().cmax();
+        engine.cache.reference = Some(ReferenceCache::new(cmax));
+        let mut moved_over = 0;
+        for t in 0..engine.cfg.slices {
+            engine.maintain(t);
+            let index = engine.testbed.system.index();
+            let entered: Vec<(usize, Query)> = engine
+                .cache
+                .per_cluster
+                .iter()
+                .enumerate()
+                .filter_map(|(c, cluster)| Some((c, cluster.as_ref()?)))
+                .flat_map(|(c, cluster)| cluster.outside.keys().map(move |q| (c, q)))
+                .filter(|(_, q)| index.qid(q).is_some())
+                .map(|(c, q)| (c, q.clone()))
+                .collect();
+            engine.query_slice(t);
+            moved_over += entered
+                .iter()
+                .filter(|(c, q)| {
+                    let cluster = engine.cache.per_cluster[*c].as_ref().unwrap();
+                    !cluster.outside.contains_key(q)
+                })
+                .count();
+            let reference = engine.cache.reference.as_ref().unwrap();
+            assert_eq!(engine.cache.misses, reference.misses, "slice {t}");
+        }
+        (engine.finish(), moved_over)
+    }
+
+    #[test]
+    fn eval_cache_agrees_with_the_map_cache_through_churn_and_repair() {
+        for (cfg, traffic) in [
+            traffic_small_config(2008),
+            traffic_small_observed_config(2008),
+        ] {
+            let plain = run_traffic(&cfg, &traffic);
+            let (report, moved_over) = run_in_lockstep(&cfg, traffic);
+            assert_eq!(report, plain, "the lockstep run is the engine's run");
+            assert!(report.churn_events > 0 && report.repairs > 0);
+            assert!(
+                moved_over > 0,
+                "a query joined the index universe after it was cached"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "10 000-peer schedule: release-only, run with --include-ignored"]
+    fn eval_cache_agrees_with_the_map_cache_on_the_traffic_demo_schedule() {
+        let (cfg, traffic) = traffic_demo_config(2008);
+        let (report, _) = run_in_lockstep(&cfg, traffic);
+        assert!(report.churn_events > 0 && report.repairs > 0);
+    }
+
+    #[test]
+    fn a_query_entering_the_universe_keeps_its_cached_value() {
+        let (cfg, traffic) = traffic_small_config(2008);
+        let mut engine = TrafficEngine::new(&cfg, traffic);
+        engine.query_slice(0);
+        let (cid, query, cached) = engine
+            .cache
+            .per_cluster
+            .iter()
+            .enumerate()
+            .filter_map(|(c, cluster)| Some((c, cluster.as_ref()?)))
+            .flat_map(|(c, cluster)| {
+                cluster
+                    .outside
+                    .iter()
+                    .map(move |(q, &n)| (ClusterId::from_index(c), q.clone(), n))
+            })
+            .max_by_key(|&(_, _, n)| n)
+            .expect("the first slice reaches past the workloads");
+        assert!(cached > 0, "a cached query with results");
+
+        // A peer starts asking for it: the query joins the universe.
+        let system = &mut engine.testbed.system;
+        let peer = system.overlay().cluster(cid).members()[0];
+        let mut workload = system.workloads()[peer.index()].clone();
+        workload.add(query.clone(), 1);
+        system.set_workload(peer, workload);
+        let qid = system.index().qid(&query);
+        assert!(qid.is_some());
+
+        let misses = engine.cache.misses;
+        assert_eq!(engine.cache.eval(system, cid, &query, qid), cached);
+        assert_eq!(engine.cache.misses, misses, "the cached value moved over");
+        assert_eq!(engine.cache.eval(system, cid, &query, qid), cached);
+        assert_eq!(engine.cache.misses, misses);
+        // …and an invalidation drops it like any other entry.
+        engine.cache.invalidate(cid);
+        assert_eq!(engine.cache.eval(system, cid, &query, qid), cached);
+        assert_eq!(engine.cache.misses, misses + 1);
+    }
+
+    /// [`WorkloadDynamics::sample_slice`] as it was first written: one
+    /// map insert per occurrence.
+    fn per_occurrence_slice(
+        dynamics: &WorkloadDynamics,
+        cfg: &TrafficConfig,
+        t: usize,
+        rng: &mut StdRng,
+    ) -> BTreeMap<Query, u64> {
+        let mut out: BTreeMap<Query, u64> = BTreeMap::new();
+        for _ in 0..dynamics.slice_rate(cfg, t) {
+            let rank = dynamics.zipf.sample(rng);
+            let cat = dynamics.topic_at(cfg, t, rank);
+            *out.entry(dynamics.samplers[cat].sample(rng)).or_insert(0) += 1;
+        }
+        if let Some((window, extra)) = dynamics.flash_at(cfg, t) {
+            for _ in 0..extra {
+                let pick = rng.gen_range(0..cfg.flash_topics);
+                let cat = (window * 7 + pick) % dynamics.n_categories;
+                *out.entry(dynamics.samplers[cat].sample(rng)).or_insert(0) += 1;
+            }
+        }
+        out
+    }
+
+    /// Holds slices `ts` of `traffic` to the per-occurrence oracle:
+    /// `sample_slice` returns its map, the engine's runs are that map's
+    /// entries in order, and both leave the RNG where the oracle does.
+    fn assert_sampling_matches_the_oracle(
+        dynamics: &WorkloadDynamics,
+        traffic: &TrafficConfig,
+        ts: impl IntoIterator<Item = usize>,
+    ) {
+        let mut syms = Vec::new();
+        for t in ts {
+            let seed = derive_seed(0x5A3, t as u64);
+            let (mut a, mut b, mut c) = (seeded_rng(seed), seeded_rng(seed), seeded_rng(seed));
+            let oracle = per_occurrence_slice(dynamics, traffic, t, &mut a);
+            assert_eq!(
+                dynamics.sample_slice(traffic, t, &mut b),
+                oracle,
+                "slice {t}"
+            );
+            dynamics.draw_slice(traffic, t, &mut c, &mut syms);
+            let runs: Vec<(Query, u64)> = slice_runs(&syms)
+                .map(|(sym, occ)| (Query::keyword(sym), occ))
+                .collect();
+            let entries: Vec<(Query, u64)> = oracle.into_iter().collect();
+            assert_eq!(runs, entries, "slice {t}: the engine's runs");
+            let next = a.next_u64();
+            assert_eq!(b.next_u64(), next, "slice {t}: sample_slice's RNG");
+            assert_eq!(c.next_u64(), next, "slice {t}: the engine's RNG");
+        }
+    }
+
+    /// Slices of `traffic` that open a flash window, take a drift step,
+    /// and sit at both diurnal extremes.
+    fn shaped_slices(dynamics: &WorkloadDynamics, traffic: &TrafficConfig) -> Vec<usize> {
+        let period = traffic.diurnal_period;
+        let rates: Vec<u64> = (0..period)
+            .map(|t| dynamics.slice_rate(traffic, t))
+            .collect();
+        let peak = (0..period).max_by_key(|&t| rates[t]).unwrap();
+        let trough = (0..period).min_by_key(|&t| rates[t]).unwrap();
+        let flash = traffic.flash_every;
+        let drift = traffic.drift_every;
+        assert!(dynamics.flash_at(traffic, flash).is_some());
+        assert_ne!(
+            dynamics.topic_at(traffic, drift, 0),
+            dynamics.topic_at(traffic, drift - 1, 0)
+        );
+        assert!(
+            rates[peak] > traffic.queries_per_slice && rates[trough] < traffic.queries_per_slice
+        );
+        vec![trough, peak, flash, flash + 1, drift - 1, drift]
+    }
+
+    #[test]
+    fn slice_sampling_equals_the_per_occurrence_oracle() {
+        for (cfg, traffic) in [traffic_small_config(2008), traffic_demo_config(2008)] {
+            let testbed = ideal_scenario1_system(&cfg);
+            let dynamics = WorkloadDynamics::new(&testbed, traffic.zipf_s);
+            let ts = shaped_slices(&dynamics, &traffic);
+            assert_sampling_matches_the_oracle(&dynamics, &traffic, ts);
+        }
+    }
+
+    #[test]
+    #[ignore = "10 000-peer testbed, 250 slices: release-only, run with --include-ignored"]
+    fn slice_sampling_equals_the_oracle_on_every_traffic_demo_slice() {
+        let (cfg, traffic) = traffic_demo_config(2008);
+        let testbed = ideal_scenario1_system(&cfg);
+        let dynamics = WorkloadDynamics::new(&testbed, traffic.zipf_s);
+        assert_sampling_matches_the_oracle(&dynamics, &traffic, 0..traffic.slices);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use recluster_sim::churn::{
 };
 use recluster_sim::fig1::run_fig1_with;
 use recluster_sim::fig4::run_fig4_with;
+use recluster_sim::knobs::{env_parsed, parse_flag};
 use recluster_sim::netsim::{
     render_liar_audit, render_midround_churn, render_net_sweep, render_observed_audit,
     render_partition_heal, run_liar_audit, run_midround_churn, run_net_sweep,
@@ -319,7 +320,7 @@ fn check(name: &str, actual: String) {
     let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name]
         .iter()
         .collect();
-    if std::env::var("RECLUSTER_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+    if env_parsed("RECLUSTER_UPDATE_GOLDEN", parse_flag).unwrap_or(false) {
         std::fs::write(&path, &actual).expect("write golden snapshot");
         return;
     }
