@@ -17,9 +17,16 @@
 //!   deterministic mis-placements, repaired by the *same* engine twice:
 //!   the second, quiet run must be served almost entirely from the
 //!   memo (cross-run memoization is what makes churn-period maintenance
-//!   O(dirty peers)).
+//!   O(dirty peers)). Stay certificates serve the repair's later rounds
+//!   too: only the first round and the peers a grant can move recompute.
+//! * `repair_2k_observed` — the same shock after one absorbed
+//!   observation period, repaired by observed selfish decisions, whose
+//!   memo is the frozen-snapshot gate.
 
-use recluster_core::{ProtocolConfig, ProtocolEngine, SelfishStrategy};
+use recluster_core::{
+    simulate_period, ObservedStats, ObservedStrategy, ProtocolConfig, ProtocolEngine,
+    SelfishStrategy, System,
+};
 use recluster_overlay::SimNetwork;
 use recluster_sim::scenario::{
     build_system, ideal_scenario1_system, ExperimentConfig, InitialConfig, Scenario,
@@ -47,6 +54,21 @@ fn record_run(label: &str, outcome: &recluster_core::RunOutcome) {
         "moves",
         outcome.total_moves() as f64,
     );
+}
+
+/// The deterministic shock of the repair cells: two peers of *every*
+/// category land one category over (spread across source clusters so
+/// the lock rule can grant several repairs per round instead of
+/// serializing them).
+fn shock(system: &mut System, cfg: &ExperimentConfig) {
+    let m = cfg.n_categories;
+    let ppc = cfg.n_peers / m;
+    for k in 0..m {
+        for j in 0..2 {
+            let peer = PeerId::from_index(k * ppc + j);
+            system.move_peer(peer, ClusterId::from_index((k + 1) % m));
+        }
+    }
 }
 
 fn main() {
@@ -77,23 +99,17 @@ fn main() {
         ..ExperimentConfig::large(77)
     };
     let mut tb = ideal_scenario1_system(&cfg);
+    // One observation period of the ideal clustering, for the observed
+    // cell below, taken before the shock.
+    let mut stats = ObservedStats::new(0.0);
+    stats.absorb(&simulate_period(&tb.system, &mut SimNetwork::new()));
+    let mut observed_system = tb.system.clone();
     let mut net = SimNetwork::new();
     let mut engine = ProtocolEngine::new(
         SelfishStrategy,
         ProtocolConfig::builder().max_rounds(8).build(),
     );
-    // Deterministic shock: two peers of *every* category land one
-    // category over (spread across source clusters so the lock rule can
-    // grant several repairs per round instead of serializing them).
-    let m = cfg.n_categories;
-    let ppc = cfg.n_peers / m;
-    for k in 0..m {
-        for j in 0..2 {
-            let peer = PeerId::from_index(k * ppc + j);
-            tb.system
-                .move_peer(peer, ClusterId::from_index((k + 1) % m));
-        }
-    }
+    shock(&mut tb.system, &cfg);
     let repair = engine.run(&mut tb.system, &mut net);
     println!(
         "repair_2k: {} rounds, {} moves, {} recomputed / {} memoized",
@@ -114,6 +130,22 @@ fn main() {
     );
     record_run("repair_2k_quiet", &quiet);
 
+    // ---- repair_2k_observed: the same shock, observed decisions. ----
+    shock(&mut observed_system, &cfg);
+    let mut engine = ProtocolEngine::new(
+        ObservedStrategy::selfish(&stats),
+        ProtocolConfig::builder().max_rounds(8).build(),
+    );
+    let observed = engine.run(&mut observed_system, &mut SimNetwork::new());
+    println!(
+        "repair_2k_observed: {} rounds, {} moves, {} recomputed / {} memoized",
+        observed.rounds.len(),
+        observed.total_moves(),
+        observed.total_recomputed(),
+        observed.total_memoized(),
+    );
+    record_run("repair_2k_observed", &observed);
+
     // ---- repair_1M: the million-peer shock/repair/quiet cycle. -------
     // Same deterministic shock pattern at the tentpole scale: the
     // repair round is O(dirty peers) thanks to the proposal memo, and
@@ -127,15 +159,7 @@ fn main() {
         SelfishStrategy,
         ProtocolConfig::builder().max_rounds(8).build(),
     );
-    let m = cfg.n_categories;
-    let ppc = cfg.n_peers / m;
-    for k in 0..m {
-        for j in 0..2 {
-            let peer = PeerId::from_index(k * ppc + j);
-            tb.system
-                .move_peer(peer, ClusterId::from_index((k + 1) % m));
-        }
-    }
+    shock(&mut tb.system, &cfg);
     let repair = engine.run(&mut tb.system, &mut net);
     println!(
         "repair_1M: {} rounds, {} moves, {} recomputed / {} memoized",

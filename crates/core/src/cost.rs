@@ -18,6 +18,7 @@ use crate::view::SystemRead;
 
 /// Membership term of Eq. 1 for `peer` evaluated at cluster `cid`:
 /// `α · θ(size') / |P|` with the join-inclusive size.
+#[inline]
 pub fn membership_cost<S: SystemRead + ?Sized>(system: &S, peer: PeerId, cid: ClusterId) -> f64 {
     let in_cluster = system.overlay().cluster_of(peer) == Some(cid);
     let size = system.overlay().size(cid) + usize::from(!in_cluster);
@@ -28,6 +29,7 @@ pub fn membership_cost<S: SystemRead + ?Sized>(system: &S, peer: PeerId, cid: Cl
 /// Recall-loss term of Eq. 1 for `peer` evaluated at cluster `cid`: the
 /// workload-weighted recall obtainable only from peers *outside* the
 /// cluster (with the peer itself counted inside).
+#[inline]
 pub fn recall_loss<S: SystemRead + ?Sized>(system: &S, peer: PeerId, cid: ClusterId) -> f64 {
     let index = system.index();
     if system.overlay().cluster_of(peer) == Some(cid) {
@@ -136,6 +138,7 @@ pub fn pcost_set<S: SystemRead + ?Sized>(system: &S, peer: PeerId, clusters: &[C
 ///
 /// # Panics
 /// Panics if the peer is unassigned.
+#[inline]
 pub fn pcost_current<S: SystemRead + ?Sized>(system: &S, peer: PeerId) -> f64 {
     let cid = system
         .overlay()

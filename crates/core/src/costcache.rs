@@ -73,8 +73,7 @@ pub struct CostCache {
     all_dirty: bool,
     /// Per peer slot: monotone count of invalidations (how often the
     /// slot was first-marked since construction). Never reset by a
-    /// flush — proposal memoization compares it to detect "this peer's
-    /// cached terms may have changed since I memoized".
+    /// flush; it measures how much recomputation the marks caused.
     marks: Vec<u64>,
     /// Monotone count of wholesale invalidations ([`CostCache::mark_all`]
     /// calls) — the per-slot counters' global companion.
@@ -156,15 +155,16 @@ impl CostCache {
     }
 
     /// Monotone invalidation count of a peer slot — unchanged means the
-    /// slot was never (first-)marked since the caller last read it. Used
-    /// by [`ProposalMemo`](crate::protocol::ProposalMemo) as the "cache
-    /// entry stayed clean" gate.
+    /// slot was never (first-)marked since the caller last read it. The
+    /// proposal memo does not need it: every change that marks a slot
+    /// also stamps the peer's cluster or the global epoch of the
+    /// [`Epochs`](crate::view::Epochs) journal.
     pub fn slot_marks(&self, slot: usize) -> u64 {
         self.marks.get(slot).copied().unwrap_or(0)
     }
 
     /// Monotone count of wholesale invalidations (escape-hatch
-    /// mutations, rebuilds). Any change invalidates every memo.
+    /// mutations, rebuilds), each of which also stamps the global epoch.
     pub fn all_marks(&self) -> u64 {
         self.all_marks
     }

@@ -62,24 +62,43 @@ pub fn best_response<S: SystemRead + ?Sized>(
     allow_empty: bool,
 ) -> BestResponse {
     let mut chain = Vec::new();
-    best_response_with_chain(system, peer, allow_empty, &mut chain)
+    scan::<S, false>(system, peer, allow_empty, &mut chain).0
 }
 
 /// [`best_response`] that additionally records the scan's **take
-/// chain** into `chain` (cleared first): the successive clusters that
-/// strictly improved the running best, in scan order, ending with the
-/// returned cluster (empty when staying is optimal). The chain is what
-/// cross-round proposal memoization needs — a memoized scan replays
-/// identically as long as no cluster *in the chain* changed and no
-/// changed cluster newly undercuts the final best, because a cluster
-/// outside the chain was rejected against a running best that is at
-/// most the current cost at every scan position.
+/// chain** into `chain` (cleared first) and returns the lowest cost over
+/// the candidates other than the peer's current cluster (`+∞` when
+/// there are none), each costed exactly as the scan costs it.
+///
+/// The chain is the successive clusters that strictly improved the
+/// running best, in scan order, ending with the returned cluster (empty
+/// when staying is optimal). It is what cross-round proposal
+/// memoization needs for a move: a memoized scan replays identically as
+/// long as no cluster *in the chain* changed and no changed cluster
+/// newly undercuts the final best, because a cluster outside the chain
+/// was rejected against a running best that is at most the current cost
+/// at every scan position. When the chain is empty the minimum is at
+/// least the current cost minus [`COST_EPS`], and the memo keeps it as
+/// the stay's certificate.
 pub fn best_response_with_chain<S: SystemRead + ?Sized>(
     system: &S,
     peer: PeerId,
     allow_empty: bool,
     chain: &mut Vec<ClusterId>,
-) -> BestResponse {
+) -> (BestResponse, f64) {
+    scan::<S, true>(system, peer, allow_empty, chain)
+}
+
+/// The one best-response scan; `BOUND` adds the minimum over the
+/// candidates other than the current cluster (`+∞` when it is off, so
+/// that [`best_response`] does no bookkeeping it does not return).
+#[inline(always)]
+fn scan<S: SystemRead + ?Sized, const BOUND: bool>(
+    system: &S,
+    peer: PeerId,
+    allow_empty: bool,
+    chain: &mut Vec<ClusterId>,
+) -> (BestResponse, f64) {
     chain.clear();
     let current = system
         .overlay()
@@ -94,11 +113,15 @@ pub fn best_response_with_chain<S: SystemRead + ?Sized>(
         gain: 0.0,
     };
     let mut best_cost = current_cost;
+    let mut bound = f64::INFINITY;
     for cid in candidate_order(system.overlay(), allow_empty) {
         if cid == current {
             continue;
         }
         let cost = membership_cost(system, peer, cid) + recall_loss_away(queries, cid);
+        if BOUND {
+            bound = bound.min(cost);
+        }
         if cost < best_cost - COST_EPS {
             best_cost = cost;
             best = BestResponse {
@@ -108,7 +131,7 @@ pub fn best_response_with_chain<S: SystemRead + ?Sized>(
             chain.push(cid);
         }
     }
-    best
+    (best, bound)
 }
 
 /// The clusters a single-cluster best response visits, in visit order:

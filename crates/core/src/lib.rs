@@ -69,12 +69,12 @@ pub use protocol::runtime::{
     PartitionKind, PeerStateMachine, ReportPlan, Roster, RuntimeChurn, RuntimeEngine, SimNet,
 };
 pub use protocol::{
-    EmptyTargetPolicy, ProposalMemo, ProtocolConfig, ProtocolConfigBuilder, ProtocolEngine,
-    RelocationRequest, RoundOutcome, RunOutcome,
+    EmptyTargetPolicy, MemoHit, ProposalMemo, ProtocolConfig, ProtocolConfigBuilder,
+    ProtocolEngine, RelocationRequest, RoundOutcome, RunOutcome,
 };
 pub use recall::RecallIndex;
 pub use strategy::{
-    AltruisticStrategy, ChainInfo, DecisionSource, HybridStrategy, ObservedObjective,
+    AltruisticStrategy, ChainInfo, DecisionSource, HybridStrategy, MemoGate, ObservedObjective,
     ObservedStrategy, Proposal, RelocationStrategy, SelfishStrategy,
 };
 pub use system::{GameConfig, System};

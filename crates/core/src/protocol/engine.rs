@@ -11,11 +11,12 @@
 //! shim's workers when the system is large and the strategy's `propose`
 //! is pure, merged back in peer order so the parallel round is
 //! **byte-identical** to the sequential one (asserted in
-//! `crates/sim/tests/determinism.rs`). Proposals of
-//! [`memoizable`](RelocationStrategy::memoizable) strategies are
+//! `crates/sim/tests/determinism.rs`). Proposals of strategies that
+//! declare a [`memo_gate`](RelocationStrategy::memo_gate) are
 //! additionally memoized across rounds through a [`ProposalMemo`]:
-//! peers whose epoch stamps did not move re-emit their previous
-//! proposal in O(1).
+//! a peer whose proposal provably cannot have changed re-emits it
+//! without rerunning the strategy, and a stay certificate's lowered
+//! bound is written back in the index-order merge.
 
 use rayon::prelude::*;
 use recluster_overlay::{MsgKind, SimNetwork};
@@ -23,9 +24,9 @@ use recluster_types::{ClusterId, PeerId};
 
 use crate::global::{scost_normalized, wcost_normalized};
 use crate::protocol::locks::{LockSet, Verdict};
-use crate::protocol::memo::ProposalMemo;
+use crate::protocol::memo::{MemoHit, ProposalMemo};
 use crate::protocol::{ProtocolConfig, RelocationRequest};
-use crate::strategy::{ChainInfo, Proposal, RelocationStrategy};
+use crate::strategy::{ChainInfo, MemoGate, Proposal, RelocationStrategy};
 use crate::system::System;
 use crate::view::SystemView;
 
@@ -44,9 +45,9 @@ pub struct RoundOutcome {
     pub wcost: f64,
     /// Non-empty clusters after the round's moves.
     pub non_empty_clusters: usize,
-    /// Phase-1 proposals computed from scratch this round (the "dirty"
-    /// peers whose memo stamps had moved — every peer when memoization
-    /// is off or the strategy is not memoizable).
+    /// Phase-1 proposals computed from scratch this round (the peers
+    /// the memo could not serve — every peer when memoization is off
+    /// or the strategy declares no memo gate).
     pub proposals_recomputed: usize,
     /// Phase-1 proposals re-emitted from the memo without recomputation.
     pub proposals_memoized: usize,
@@ -70,6 +71,25 @@ struct Phase1 {
     memoized: usize,
     /// Peers whose policy-filtered proposal named a move.
     proposed: usize,
+}
+
+/// One peer's phase-1 proposal and where it came from.
+enum Slot {
+    /// Computed with the memo off.
+    Untraced(Option<Proposal>),
+    /// Computed with its trace, to be stored in the memo.
+    Fresh(Option<Proposal>, ChainInfo),
+    /// Served by the memo, to be renewed there.
+    Memo(MemoHit),
+}
+
+impl Slot {
+    fn proposal(&self) -> Option<Proposal> {
+        match self {
+            Slot::Untraced(proposal) | Slot::Fresh(proposal, _) => *proposal,
+            Slot::Memo(hit) => hit.proposal(),
+        }
+    }
 }
 
 /// The result of a full protocol run.
@@ -166,10 +186,10 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
     pub fn new(strategy: S, config: ProtocolConfig) -> Self {
         assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
         ProtocolEngine {
+            memo: ProposalMemo::new(strategy.memo_gate()),
             strategy,
             config,
             min_costs: Vec::new(),
-            memo: ProposalMemo::new(),
         }
     }
 
@@ -220,7 +240,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
             .flat_map(|&cid| view.overlay().cluster(cid).members().iter().copied())
             .collect();
 
-        let memo_on = self.config.memoize_proposals && self.strategy.memoizable();
+        let memo_on = self.config.memoize_proposals && self.strategy.memo_gate() != MemoGate::None;
         if memo_on {
             // Opens the round's validity gate (candidate-sequence
             // version + changed-cluster set) before the immutable
@@ -229,42 +249,41 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
         }
         let memo = &self.memo;
         let strategy = &self.strategy;
-        // A `None` chain marks a memo hit; `Some(chain)` a recomputed
-        // proposal to be stored below.
-        let compute = |&peer: &PeerId| -> (Option<Proposal>, Option<ChainInfo>) {
-            if memo_on {
-                if let Some(hit) = memo.lookup(view, peer) {
-                    return (hit, None);
-                }
-                let (proposal, chain) = strategy.propose_traced(view, peer, allow_empty);
-                (proposal, Some(chain))
-            } else {
-                (strategy.propose(view, peer, allow_empty), None)
+        let compute = |&peer: &PeerId| -> Slot {
+            if !memo_on {
+                return Slot::Untraced(strategy.propose(view, peer, allow_empty));
             }
+            if let Some(hit) = memo.lookup(view, peer) {
+                return Slot::Memo(hit);
+            }
+            let (proposal, trace) = strategy.propose_traced(view, peer, allow_empty);
+            Slot::Fresh(proposal, trace)
         };
         let sharded =
             self.strategy.sharded_phase1() && peers.len() >= self.config.min_parallel_peers;
-        let mut raw: Vec<(Option<Proposal>, Option<ChainInfo>)> = if sharded {
+        let mut raw: Vec<Slot> = if sharded {
             peers.par_iter().map(compute).collect()
         } else {
             peers.iter().map(compute).collect()
         };
 
-        // Write recomputed proposals back into the memo and tally.
+        // Store recomputed proposals, renew hits (in peer order), and
+        // tally.
         let mut recomputed = 0;
         let mut memoized = 0;
-        if memo_on {
-            for (&peer, slot) in peers.iter().zip(raw.iter_mut()) {
-                match slot.1.take() {
-                    Some(chain) => {
-                        recomputed += 1;
-                        self.memo.store(view, peer, allow_empty, slot.0, chain);
-                    }
-                    None => memoized += 1,
+        for (&peer, slot) in peers.iter().zip(raw.iter_mut()) {
+            match slot {
+                Slot::Untraced(_) => recomputed += 1,
+                Slot::Fresh(proposal, trace) => {
+                    recomputed += 1;
+                    let trace = std::mem::replace(trace, ChainInfo::Unknown);
+                    self.memo.store(view, peer, allow_empty, *proposal, trace);
+                }
+                Slot::Memo(hit) => {
+                    memoized += 1;
+                    self.memo.renew(peer, *hit);
                 }
             }
-        } else {
-            recomputed = peers.len();
         }
 
         // Per-cluster representative selection, in the exact order (and
@@ -281,8 +300,7 @@ impl<S: RelocationStrategy> ProtocolEngine<S> {
             // (deterministic tie-break by peer id).
             let mut best: Option<RelocationRequest> = None;
             for &peer in members {
-                let (proposal, _) = &raw[next];
-                let proposal = *proposal;
+                let proposal = raw[next].proposal();
                 next += 1;
                 if let Some(p) = self.apply_policy(view, peer, proposal) {
                     proposed += 1;

@@ -33,7 +33,7 @@ pub mod runtime;
 
 pub use engine::{ProtocolEngine, RoundOutcome, RunOutcome};
 pub use locks::{LockSet, Verdict};
-pub use memo::ProposalMemo;
+pub use memo::{MemoHit, ProposalMemo};
 pub use runtime::{
     DelayDist, DenyReason, EvidenceLog, FaultReport, LiarConfig, Message, NetConfig, NetStats,
     PeerStateMachine, RuntimeEngine, SimNet,
@@ -135,9 +135,10 @@ pub struct ProtocolConfig {
     /// = false) always run sequentially.
     pub min_parallel_peers: usize,
     /// Whether to memoize proposals across rounds for strategies that
-    /// declare [`memoizable`](crate::strategy::RelocationStrategy::memoizable).
-    /// Bit-identical either way. Only the sync [`ProtocolEngine`] reads
-    /// it; the message runtime computes every proposal fresh.
+    /// declare a [`memo_gate`](crate::strategy::RelocationStrategy::memo_gate)
+    /// (it governs every gate). Bit-identical either way. Only the sync
+    /// [`ProtocolEngine`] reads it; the message runtime computes every
+    /// proposal fresh.
     pub memoize_proposals: bool,
 }
 

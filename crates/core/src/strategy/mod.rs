@@ -36,8 +36,8 @@ pub struct Proposal {
 
 /// What a strategy knows about the cluster dependencies of one
 /// [`propose`](RelocationStrategy::propose) outcome, reported through
-/// [`RelocationStrategy::propose_traced`] for the memo gate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`RelocationStrategy::propose_traced`] for the memo's journal gate.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChainInfo {
     /// The strategy did not trace its scan: the memoized outcome can
     /// only be trusted while *no* candidate cluster changed (the
@@ -46,11 +46,47 @@ pub enum ChainInfo {
     /// The ascending-scan take chain of
     /// [`best_response_with_chain`](crate::equilibrium::best_response_with_chain):
     /// the clusters that successively improved the running best, in
-    /// scan order (empty when staying was optimal). A memoized outcome
-    /// stays valid under changes to clusters **outside** the chain as
-    /// long as none of them newly undercuts the peer's current cost —
-    /// the fine per-(peer, cluster) gate.
+    /// scan order. A memoized outcome stays valid under changes to
+    /// clusters **outside** the chain as long as none of them newly
+    /// undercuts the peer's current cost — the fine per-(peer, cluster)
+    /// gate.
     Known(Box<[ClusterId]>),
+    /// The scan took no cluster, so the peer stays, and `bound` is the
+    /// lowest cost of any candidate other than the peer's own cluster
+    /// (`+∞` when there is none), as
+    /// [`best_response_with_chain`](crate::equilibrium::best_response_with_chain)
+    /// reports it. The memo keeps the stay as a certificate: a later
+    /// round re-emits it while `bound`, lowered by the fresh cost of
+    /// every changed cluster, stays at least the peer's fresh own cost
+    /// minus [`COST_EPS`](crate::equilibrium::COST_EPS).
+    Stay {
+        /// A lower bound on the cost of every candidate other than the
+        /// peer's own cluster.
+        bound: f64,
+    },
+}
+
+/// Which gate of the [`ProposalMemo`](crate::protocol::ProposalMemo)
+/// covers a strategy's proposals, declared by
+/// [`RelocationStrategy::memo_gate`]. Each gate names the inputs it
+/// tracks; a strategy whose proposals read anything else must declare
+/// [`MemoGate::None`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoGate {
+    /// Not memoized: phase 1 recomputes every proposal every round.
+    None,
+    /// The change journal: proposals read only what the
+    /// [`Epochs`](crate::view::Epochs) journal stamps — the peer's own
+    /// workload and result rows, the candidate clusters' sizes and
+    /// recall masses, `|P|`, result totals and the game parameters —
+    /// plus the peer's own cost from the flushed cost cache.
+    Journal,
+    /// A frozen snapshot: proposals read a snapshot the strategy
+    /// borrows for the engine's lifetime, the game parameters, the
+    /// peer's current cluster and the candidate sequence, and nothing
+    /// else. A hit needs only the global epoch, the candidate sequence
+    /// and the peer's cluster to be unchanged.
+    FrozenSnapshot,
 }
 
 /// A peer-relocation strategy.
@@ -88,12 +124,12 @@ pub trait RelocationStrategy: Sync {
 
     /// [`propose`](RelocationStrategy::propose) plus the cluster-
     /// dependency trace of the outcome, consumed by the proposal memo's
-    /// per-(peer, cluster) validity gate. The default delegates to
-    /// `propose` and reports [`ChainInfo::Unknown`], which makes the
-    /// memo fall back to its coarse any-candidate-changed gate — exactly
-    /// the pre-trace behaviour. Strategies whose scan is
+    /// journal gate. The default delegates to `propose` and reports
+    /// [`ChainInfo::Unknown`], which makes the journal gate fall back to
+    /// its coarse any-candidate-changed test; the frozen-snapshot gate
+    /// needs no trace. Strategies whose scan is
     /// [`best_response_with_chain`](crate::equilibrium::best_response_with_chain)
-    /// override this to hand the real chain over.
+    /// override this to hand the real chain, or a stay's bound, over.
     fn propose_traced(
         &self,
         view: &SystemView<'_>,
@@ -111,17 +147,15 @@ pub trait RelocationStrategy: Sync {
         true
     }
 
-    /// Whether this strategy's proposals depend *only* on the inputs the
-    /// [`Epochs`](crate::view::Epochs) journal and the cost cache's mark
-    /// counters track — the peer's own workload/terms, the candidate
-    /// clusters' sizes and recall masses, `|P|`, result totals and the
-    /// game parameters. When true, the engine memoizes proposals across
-    /// rounds ([`ProposalMemo`](crate::protocol::ProposalMemo)): a peer
-    /// whose stamps are unchanged re-emits its previous proposal without
-    /// recomputation. Strategies with round-level state of their own
-    /// (contribution matrices, RNG streams) must leave this `false`.
-    fn memoizable(&self) -> bool {
-        false
+    /// Which [`MemoGate`] covers this strategy's proposals. The engine
+    /// memoizes proposals across rounds
+    /// ([`ProposalMemo`](crate::protocol::ProposalMemo)) under that gate
+    /// unless it is [`MemoGate::None`], the default. Strategies with
+    /// round-level state of their own (contribution matrices, RNG
+    /// streams) or that read live state no gate tracks must keep the
+    /// default.
+    fn memo_gate(&self) -> MemoGate {
+        MemoGate::None
     }
 }
 

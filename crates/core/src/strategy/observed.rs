@@ -23,7 +23,7 @@ use recluster_types::PeerId;
 use super::altruistic::altruistic_choice;
 use super::hybrid::hybrid_choice;
 use crate::equilibrium::COST_EPS;
-use crate::strategy::{Proposal, RelocationStrategy};
+use crate::strategy::{MemoGate, Proposal, RelocationStrategy};
 use crate::tracker::ObservedStats;
 use crate::view::SystemView;
 
@@ -93,8 +93,15 @@ pub enum ObservedObjective {
 /// repair) and borrowed here for the duration of one protocol run.
 ///
 /// `propose` is a pure function of `(stats, view, peer, allow_empty)`,
-/// so phase-1 sharding stays enabled; proposals are *not* memoizable —
-/// the epoch journal knows nothing about the external statistics.
+/// so phase-1 sharding stays enabled. The selfish objective reads only
+/// the folded snapshot (cluster sizes, `|P|` and observed counts, all
+/// taken when the period was observed), the game parameters, the peer's
+/// current cluster and the candidate sequence; the statistics are
+/// borrowed for the engine's lifetime, so they cannot change under it.
+/// It is therefore memoized under [`MemoGate::FrozenSnapshot`]. The
+/// altruistic and hybrid objectives read live cluster sizes (through
+/// [`membership_increase`](crate::strategy::membership_increase)), which
+/// no gate tracks for them, so they recompute every round.
 #[derive(Debug, Clone, Copy)]
 pub struct ObservedStrategy<'a> {
     stats: &'a ObservedStats,
@@ -184,6 +191,13 @@ impl RelocationStrategy for ObservedStrategy<'_> {
                 |cid| self.stats.estimated_contribution(peer, cid),
                 |cid| self.stats.estimated_pcost(view, peer, cid, Some(current)),
             ),
+        }
+    }
+
+    fn memo_gate(&self) -> MemoGate {
+        match self.objective {
+            ObservedObjective::Selfish => MemoGate::FrozenSnapshot,
+            ObservedObjective::Altruistic | ObservedObjective::Hybrid(_) => MemoGate::None,
         }
     }
 }

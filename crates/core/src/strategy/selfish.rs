@@ -7,7 +7,7 @@
 use recluster_types::PeerId;
 
 use crate::equilibrium::{best_response, best_response_with_chain, COST_EPS};
-use crate::strategy::{ChainInfo, Proposal, RelocationStrategy};
+use crate::strategy::{ChainInfo, MemoGate, Proposal, RelocationStrategy};
 use crate::view::SystemView;
 
 /// The selfish strategy: pure individual-cost minimization.
@@ -33,7 +33,8 @@ impl RelocationStrategy for SelfishStrategy {
 
     /// The same scan with its take chain recorded, so the memo can keep
     /// an entry alive across rounds that only touched clusters the scan
-    /// rejected (or never reached).
+    /// rejected (or never reached). A stay reports the scan's bound
+    /// instead, which the memo keeps as the stay's certificate.
     fn propose_traced(
         &self,
         view: &SystemView<'_>,
@@ -41,24 +42,23 @@ impl RelocationStrategy for SelfishStrategy {
         allow_empty: bool,
     ) -> (Option<Proposal>, ChainInfo) {
         let mut chain = Vec::new();
-        let br = best_response_with_chain(view, peer, allow_empty, &mut chain);
-        let proposal = if br.gain > COST_EPS {
-            Some(Proposal {
-                to: br.cluster,
-                gain: br.gain,
-            })
-        } else {
-            None
-        };
+        let (br, bound) = best_response_with_chain(view, peer, allow_empty, &mut chain);
+        if chain.is_empty() {
+            return (None, ChainInfo::Stay { bound });
+        }
+        let proposal = (br.gain > COST_EPS).then_some(Proposal {
+            to: br.cluster,
+            gain: br.gain,
+        });
         (proposal, ChainInfo::Known(chain.into_boxed_slice()))
     }
 
     /// `best_response` reads exactly the quantities the change journal
     /// stamps — the peer's workload rows, the candidate clusters' sizes
-    /// and masses, `|P|` and the game parameters — so the memo's
-    /// validity gate covers it completely.
-    fn memoizable(&self) -> bool {
-        true
+    /// and masses, `|P|` and the game parameters — so the journal gate
+    /// covers it completely.
+    fn memo_gate(&self) -> MemoGate {
+        MemoGate::Journal
     }
 }
 

@@ -206,8 +206,10 @@ impl System {
     /// Marks the whole cost cache stale; the next read recomputes every
     /// peer's terms, the holder lists and the live demand from scratch —
     /// the oracle the delta-maintained path is property-tested against.
+    /// Stamps the global epoch, like every escape hatch.
     pub fn rebuild_cost_cache(&mut self) {
         self.cache.get_mut().mark_all();
+        self.epochs.bump_global();
     }
 
     /// Live peer count `|P|`.
@@ -369,8 +371,12 @@ impl System {
     /// Replaces a peer's workload (workload-update experiments, §4.2),
     /// delta-maintaining the index: genuinely new queries get fresh
     /// result columns (O(peers) each), known ones just a new weight —
-    /// no rebuild. Only this peer's cached terms are invalidated.
+    /// no rebuild. Only this peer's cached terms are invalidated, but
+    /// the change journal stamps the global epoch: a peer's own rows
+    /// are not located by any cluster stamp, and the proposal memo reads
+    /// nothing but the journal.
     pub fn set_workload(&mut self, peer: PeerId, workload: Workload) {
+        self.epochs.bump_global();
         {
             let index = &self.index;
             let cache = self.cache.get_mut();
@@ -446,6 +452,7 @@ impl System {
         // A fresh build renumbers query ids: the cache's holder lists
         // are keyed by qid, so everything must be re-derived.
         self.cache.get_mut().mark_all();
+        self.epochs.bump_global();
     }
 
     /// Mutable access to the overlay for substrate-level operations;
@@ -453,9 +460,10 @@ impl System {
     /// [`System::refresh_mass`] afterwards as appropriate. Neither
     /// repairs the routing summaries, so cluster-directed routing must
     /// not follow. The cost cache is conservatively invalidated
-    /// wholesale.
+    /// wholesale, and the global epoch stamped.
     pub fn overlay_mut(&mut self) -> &mut Overlay {
         self.cache.get_mut().mark_all();
+        self.epochs.bump_global();
         &mut self.overlay
     }
 
@@ -465,6 +473,7 @@ impl System {
     pub fn refresh_mass(&mut self) {
         self.index.rebuild(&self.overlay);
         self.cache.get_mut().mark_all();
+        self.epochs.bump_global();
     }
 }
 

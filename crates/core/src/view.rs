@@ -27,9 +27,9 @@
 //! [`Epochs`] is the change journal that makes cross-round proposal
 //! memoization sound: a monotone logical clock stamps every cluster
 //! whose size or recall mass changed and a global stamp covers
-//! system-wide shifts (`|P|` changes, content/total updates, parameter
-//! changes, escape-hatch mutations). A memoized proposal is re-emitted
-//! only when no stamp it depends on moved — see
+//! system-wide shifts (`|P|` changes, content/total updates, a peer's
+//! own workload rows, parameter changes, escape-hatch mutations). The
+//! proposal memo reads nothing but this journal and fresh costs — see
 //! [`ProposalMemo`](crate::protocol::ProposalMemo).
 
 use recluster_overlay::{ClusterSummaries, ContentStore, Overlay};
@@ -58,7 +58,9 @@ pub struct Epochs {
     cluster: Vec<u64>,
     /// Clock value of the last system-wide change: `|P|` (membership
     /// term denominators), result totals (every `r(q, p)` and mass
-    /// denominator), game parameters, or an escape-hatch mutation.
+    /// denominator), a peer's workload rows, game parameters, or an
+    /// escape-hatch mutation (`overlay_mut`, `refresh_mass`,
+    /// `rebuild_index`, `rebuild_cost_cache`).
     global: u64,
 }
 

@@ -12,7 +12,8 @@
 //!    unanswerable queries, and
 //! 2. a [`ProposalMemo`] lookup that reports *valid* re-emits a proposal
 //!    bit-identical to a fresh `best_response` — the soundness of the
-//!    epoch/mark validity gate under every mutation class.
+//!    journal gate (stay certificates and take chains) under every
+//!    mutation class.
 //!
 //! Together these are the contract that lets the protocol engine flush
 //! the cache once per round, shard phase 1 across threads, and skip
@@ -25,8 +26,8 @@ use common::{apply, arb_ops, arb_seed_syms, fixture, Op, LONG_WORKLOAD_MIN};
 use proptest::prelude::*;
 use recluster_core::equilibrium::COST_EPS;
 use recluster_core::{
-    best_response, best_response_with_chain, pcost, pcost_current, scost, wcost, Proposal,
-    ProposalMemo, RelocationStrategy, SelfishStrategy, System, SystemRead,
+    best_response, best_response_with_chain, pcost, pcost_current, scost, wcost, MemoGate,
+    Proposal, ProposalMemo, RelocationStrategy, SelfishStrategy, System, SystemRead,
 };
 use recluster_overlay::SimNetwork;
 use recluster_types::{ClusterId, PeerId};
@@ -36,8 +37,9 @@ fn bits(p: Option<Proposal>) -> Option<(u32, u64)> {
     p.map(|p| (p.to.0, p.gain.to_bits()))
 }
 
-/// One expected scan result: cluster, gain bits and take chain.
-type Scan = (ClusterId, u64, Vec<ClusterId>);
+/// One expected scan result: cluster, gain bits, take chain and the bits
+/// of the lowest cost over the candidates other than the current cluster.
+type Scan = (ClusterId, u64, Vec<ClusterId>, u64);
 
 /// Every cost read through the view equals the `&System` route, bitwise,
 /// and on both routes every peer's `best_response_with_chain` equals a
@@ -95,7 +97,8 @@ fn assert_view_equals_system(sys: &mut System) -> Result<(), TestCaseError> {
 /// (`pcosts` is peer-major over every cluster id), for every peer with
 /// `allow_empty` true, then false: `best_response`'s visit order
 /// (non-empty ids ascending, plus the first empty slot at its id
-/// position when admissible) and its take rule.
+/// position when admissible), its take rule and the minimum over the
+/// candidates other than the current cluster (a stay's certificate).
 fn reference_scans(sys: &System, peers: &[PeerId], current: &[u64], pcosts: &[u64]) -> Vec<Scan> {
     let overlay = sys.overlay();
     let n_clusters = overlay.cluster_ids().count();
@@ -111,21 +114,24 @@ fn reference_scans(sys: &System, peers: &[PeerId], current: &[u64], pcosts: &[u6
             let current_cost = f64::from_bits(current[i]);
             let (mut best, mut best_cost, mut gain) = (at, current_cost, 0.0);
             let mut chain = Vec::new();
+            let mut bound = f64::INFINITY;
             for &c in candidates.iter().filter(|&&c| c != at) {
                 let cost = f64::from_bits(pcosts[i * n_clusters + c.index()]);
+                bound = bound.min(cost);
                 if cost < best_cost - COST_EPS {
                     (best, best_cost, gain) = (c, cost, current_cost - cost);
                     chain.push(c);
                 }
             }
-            scans.push((best, gain.to_bits(), chain));
+            scans.push((best, gain.to_bits(), chain, bound.to_bits()));
         }
     }
     scans
 }
 
 /// `best_response_with_chain` through `read` equals `expected`
-/// ([`reference_scans`]' order) for every peer.
+/// ([`reference_scans`]' order) for every peer, and `best_response`,
+/// which skips the bound, its result.
 fn assert_scans_equal<S: SystemRead + ?Sized>(
     read: &S,
     peers: &[PeerId],
@@ -136,12 +142,21 @@ fn assert_scans_equal<S: SystemRead + ?Sized>(
         .into_iter()
         .flat_map(|allow_empty| peers.iter().map(move |&p| (allow_empty, p)));
     let mut chain = Vec::new();
-    for ((allow_empty, p), (cluster, gain, expected_chain)) in runs.zip(expected) {
-        let got = best_response_with_chain(read, p, allow_empty, &mut chain);
+    for ((allow_empty, p), (cluster, gain, expected_chain, bound)) in runs.zip(expected) {
+        let (got, got_bound) = best_response_with_chain(read, p, allow_empty, &mut chain);
         let at = format!("{route}: {p}, allow_empty={allow_empty}");
         prop_assert_eq!(got.cluster, *cluster, "scan cluster, {}", at);
         prop_assert_eq!(got.gain.to_bits(), *gain, "scan gain, {}", at);
         prop_assert_eq!(&chain, expected_chain, "scan chain, {}", at);
+        prop_assert_eq!(got_bound.to_bits(), *bound, "scan bound, {}", at);
+        let plain = best_response(read, p, allow_empty);
+        prop_assert_eq!(plain.cluster, got.cluster, "plain scan cluster, {}", at);
+        prop_assert_eq!(
+            plain.gain.to_bits(),
+            got.gain.to_bits(),
+            "plain scan gain, {}",
+            at
+        );
     }
     Ok(())
 }
@@ -172,14 +187,14 @@ proptest! {
         }
     }
 
-    /// Property 2 (memo soundness): whenever the per-(peer, cluster)
-    /// validity gate accepts a memoized proposal, that proposal is
-    /// bit-identical to a fresh `best_response` — under arbitrary
-    /// interleavings of every mutation class, driven with exactly the
-    /// protocol engine's round discipline: one `begin_round` per op,
-    /// every live peer looked up, every miss recomputed-and-stored
-    /// (hits are deliberately *not* re-stored — the gate's induction
-    /// must carry them across rounds on its own).
+    /// Property 2 (memo soundness): whenever the journal gate accepts a
+    /// memoized proposal, that proposal is bit-identical to a fresh
+    /// `best_response` — under arbitrary interleavings of every
+    /// mutation class, driven with exactly the protocol engine's round
+    /// discipline: one `begin_round` per op, every live peer looked up,
+    /// every miss recomputed and stored, every hit renewed (a stay
+    /// certificate writes back the bound its lookup lowered; the gate's
+    /// induction carries everything else across rounds on its own).
     #[test]
     fn valid_memo_hits_equal_fresh_best_response(
         docs in arb_seed_syms(),
@@ -188,7 +203,7 @@ proptest! {
     ) {
         let mut sys = fixture(&docs, &queries);
         let mut net = SimNetwork::new();
-        let mut memo = ProposalMemo::new();
+        let mut memo = ProposalMemo::new(MemoGate::Journal);
         let mut hits = 0usize;
         let mut checks = 0usize;
 
@@ -214,11 +229,12 @@ proptest! {
                     Some(hit) => {
                         hits += 1;
                         prop_assert_eq!(
-                            bits(hit),
+                            bits(hit.proposal()),
                             bits(fresh),
                             "stale memo accepted for {} after gate said valid",
                             p
                         );
+                        memo.renew(p, hit);
                     }
                     None => memo.store(&view, p, true, fresh, chain),
                 }

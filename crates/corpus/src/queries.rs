@@ -109,13 +109,24 @@ impl QuerySampler {
 
     /// Draws one keyword symbol.
     pub fn sample_sym<R: Rng + ?Sized>(&self, rng: &mut R) -> Sym {
+        self.syms[self.sample_index(rng)]
+    }
+
+    /// Draws one keyword symbol as its position in
+    /// [`symbols`](Self::symbols), with the draws of
+    /// [`sample_sym`](Self::sample_sym).
+    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cdf.last().expect("non-empty");
         let u = rng.gen::<f64>() * total;
-        let i = self
-            .cdf
+        self.cdf
             .partition_point(|&c| c <= u)
-            .min(self.syms.len() - 1);
-        self.syms[i]
+            .min(self.syms.len() - 1)
+    }
+
+    /// The sampleable words, in the order [`sample_index`](Self::sample_index)
+    /// indexes them.
+    pub fn symbols(&self) -> &[Sym] {
+        &self.syms
     }
 }
 

@@ -136,6 +136,10 @@ pub struct WorkloadDynamics {
     zipf: Zipf,
     samplers: Vec<QuerySampler>,
     n_categories: usize,
+    /// Every word any sampler draws, ascending and without repeats.
+    alphabet: Vec<Sym>,
+    /// Per sampler: the position in `alphabet` of each of its words.
+    positions: Vec<Vec<u32>>,
 }
 
 impl WorkloadDynamics {
@@ -147,13 +151,32 @@ impl WorkloadDynamics {
         let n_categories = testbed.holdout.len();
         let builder = WorkloadBuilder::new(QueryBias::Occurrence)
             .with_doc_limit(testbed.distributable_per_category);
-        let samplers = (0..n_categories)
+        let samplers: Vec<QuerySampler> = (0..n_categories)
             .map(|cat| builder.sampler(&testbed.corpus, cat))
+            .collect();
+        let mut alphabet: Vec<Sym> = samplers
+            .iter()
+            .flat_map(|s| s.symbols().iter().copied())
+            .collect();
+        alphabet.sort_unstable();
+        alphabet.dedup();
+        let positions = samplers
+            .iter()
+            .map(|s| {
+                let at = |sym| {
+                    alphabet
+                        .binary_search(sym)
+                        .expect("every word is in the alphabet")
+                };
+                s.symbols().iter().map(|sym| at(sym) as u32).collect()
+            })
             .collect();
         WorkloadDynamics {
             zipf: Zipf::new(n_categories, zipf_s),
             samplers,
             n_categories,
+            alphabet,
+            positions,
         }
     }
 
@@ -212,44 +235,55 @@ impl WorkloadDynamics {
         t: usize,
         rng: &mut StdRng,
     ) -> BTreeMap<Query, u64> {
-        let mut syms = Vec::new();
-        self.draw_slice(cfg, t, rng, &mut syms);
-        slice_runs(&syms)
+        let mut runs = Vec::new();
+        self.draw_slice(cfg, t, rng, &mut runs);
+        runs.into_iter()
             .map(|(sym, occ)| (Query::keyword(sym), occ))
             .collect()
     }
 
     /// The draws of [`WorkloadDynamics::sample_slice`], in the same
-    /// order, as one keyword symbol per occurrence into `out` (cleared
-    /// first), sorted so that [`slice_runs`] yields the distinct
-    /// queries in `Query` order.
-    fn draw_slice(&self, cfg: &TrafficConfig, t: usize, rng: &mut StdRng, out: &mut Vec<Sym>) {
-        out.clear();
+    /// order, counted per word into `out` (cleared first): each distinct
+    /// keyword once, ascending, with its occurrence count. A keyword
+    /// query's order is its symbol's, so this is the order of
+    /// `sample_slice`'s map. Counting over the samplers' alphabet leaves
+    /// only the distinct words to sort, not every occurrence.
+    fn draw_slice(
+        &self,
+        cfg: &TrafficConfig,
+        t: usize,
+        rng: &mut StdRng,
+        out: &mut Vec<(Sym, u64)>,
+    ) {
+        let mut counts = vec![0u64; self.alphabet.len()];
+        let mut drawn: Vec<u32> = Vec::new();
+        let mut draw = |cat: usize, rng: &mut StdRng| {
+            let at = self.positions[cat][self.samplers[cat].sample_index(rng)];
+            if counts[at as usize] == 0 {
+                drawn.push(at);
+            }
+            counts[at as usize] += 1;
+        };
         for _ in 0..self.slice_rate(cfg, t) {
             let rank = self.zipf.sample(rng);
-            let cat = self.topic_at(cfg, t, rank);
-            out.push(self.samplers[cat].sample_sym(rng));
+            draw(self.topic_at(cfg, t, rank), rng);
         }
         if let Some((window, extra)) = self.flash_at(cfg, t) {
             // The window's topic set is a deterministic function of its
             // index, spread over the catalogue by a co-prime-ish stride.
             for _ in 0..extra {
                 let pick = rng.gen_range(0..cfg.flash_topics);
-                let cat = (window * 7 + pick) % self.n_categories;
-                out.push(self.samplers[cat].sample_sym(rng));
+                draw((window * 7 + pick) % self.n_categories, rng);
             }
         }
-        out.sort_unstable();
+        drawn.sort_unstable();
+        out.clear();
+        out.extend(
+            drawn
+                .iter()
+                .map(|&at| (self.alphabet[at as usize], counts[at as usize])),
+        );
     }
-}
-
-/// The runs of equal symbols in a sorted slice draw: each distinct
-/// keyword once, ascending, with its occurrence count. A keyword
-/// query's order is its symbol's, so this is the order of
-/// [`WorkloadDynamics::sample_slice`]'s map.
-fn slice_runs(syms: &[Sym]) -> impl Iterator<Item = (Sym, u64)> + '_ {
-    syms.chunk_by(|a, b| a == b)
-        .map(|run| (run[0], run.len() as u64))
 }
 
 /// One repair window's aggregates (the stretch of slices since the
@@ -618,8 +652,9 @@ pub struct TrafficEngine {
     unpublished_events: u64,
     plan: Option<RoutePlan>,
     cache: EvalCache,
-    /// The current slice's draws, reused across slices.
-    slice: Vec<Sym>,
+    /// The current slice's distinct words and counts, reused across
+    /// slices.
+    slice: Vec<(Sym, u64)>,
     /// Maintenance-side ledger (churn, protocol, eager summary hooks).
     net: SimNetwork,
     /// The churn batches, observation passes and repairs.
@@ -825,13 +860,13 @@ impl TrafficEngine {
     /// results, the clusters the plan skipped the missed ones, and both
     /// are weighted by the query's occurrence count.
     fn query_slice(&mut self, t: usize) {
-        let mut syms = std::mem::take(&mut self.slice);
+        let mut runs = std::mem::take(&mut self.slice);
         self.dynamics
-            .draw_slice(&self.cfg, t, &mut self.rng, &mut syms);
+            .draw_slice(&self.cfg, t, &mut self.rng, &mut runs);
         let system = &self.testbed.system;
         let live: &[ClusterId] = system.overlay().non_empty_ids();
         let mut targets: Vec<ClusterId> = Vec::new();
-        for (sym, occ) in slice_runs(&syms) {
+        for &(sym, occ) in &runs {
             let query = Query::keyword(sym);
             let qid = system.index().qid(&query);
             match &self.plan {
@@ -873,7 +908,7 @@ impl TrafficEngine {
             self.win_returned += returned * occ;
             self.win_missed += missed * occ;
         }
-        self.slice = syms;
+        self.slice = runs;
     }
 
     fn close_window(&mut self, slice: usize, moves: usize) {
@@ -1339,7 +1374,7 @@ mod tests {
         traffic: &TrafficConfig,
         ts: impl IntoIterator<Item = usize>,
     ) {
-        let mut syms = Vec::new();
+        let mut runs = Vec::new();
         for t in ts {
             let seed = derive_seed(0x5A3, t as u64);
             let (mut a, mut b, mut c) = (seeded_rng(seed), seeded_rng(seed), seeded_rng(seed));
@@ -1349,12 +1384,13 @@ mod tests {
                 oracle,
                 "slice {t}"
             );
-            dynamics.draw_slice(traffic, t, &mut c, &mut syms);
-            let runs: Vec<(Query, u64)> = slice_runs(&syms)
-                .map(|(sym, occ)| (Query::keyword(sym), occ))
+            dynamics.draw_slice(traffic, t, &mut c, &mut runs);
+            let queries: Vec<(Query, u64)> = runs
+                .iter()
+                .map(|&(sym, occ)| (Query::keyword(sym), occ))
                 .collect();
             let entries: Vec<(Query, u64)> = oracle.into_iter().collect();
-            assert_eq!(runs, entries, "slice {t}: the engine's runs");
+            assert_eq!(queries, entries, "slice {t}: the engine's runs");
             let next = a.next_u64();
             assert_eq!(b.next_u64(), next, "slice {t}: sample_slice's RNG");
             assert_eq!(c.next_u64(), next, "slice {t}: the engine's RNG");

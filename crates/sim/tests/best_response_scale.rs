@@ -84,7 +84,7 @@ fn best_response_equals_the_per_candidate_scan_at_churn_100k_scale() {
     for allow_empty in [true, false] {
         let mut takes = 0usize;
         for &p in &peers {
-            let got = best_response_with_chain(&view, p, allow_empty, &mut chain);
+            let (got, _) = best_response_with_chain(&view, p, allow_empty, &mut chain);
             let expected = reference_scan(&view, p, allow_empty, &mut expected_chain);
             assert_eq!(
                 got.cluster, expected.cluster,

@@ -9,8 +9,9 @@
 use std::fmt::Write as _;
 
 use recluster_core::{
-    CrashWindow, DecisionSource, FaultSchedule, NetConfig, Partition, PartitionKind,
-    ProtocolConfig, ProtocolEngine, RuntimeChurn, RuntimeEngine, SelfishStrategy,
+    simulate_period, CrashWindow, DecisionSource, FaultSchedule, NetConfig, ObservedStats,
+    ObservedStrategy, Partition, PartitionKind, ProtocolConfig, ProtocolEngine, RunOutcome,
+    RuntimeChurn, RuntimeEngine, SelfishStrategy,
 };
 use recluster_overlay::SimNetwork;
 use recluster_sim::netsim::{
@@ -19,12 +20,14 @@ use recluster_sim::netsim::{
     run_observed_liar_audit, run_partition_heal,
 };
 use recluster_sim::report::{f3, render_table, to_csv};
-use recluster_sim::scenario::{build_system, ExperimentConfig, InitialConfig, Scenario};
+use recluster_sim::scenario::{
+    build_system, ideal_scenario1_system, ExperimentConfig, InitialConfig, Scenario,
+};
 use recluster_sim::table1::{run_table1_with, Table1Config};
 use recluster_sim::{
     run_churn_with_fidelity, run_protocol, sweep_map, ChurnConfig, Parallelism, StrategyKind,
 };
-use recluster_types::PeerId;
+use recluster_types::{ClusterId, PeerId};
 
 /// One sweep cell: strategy × seed, each building its own testbed.
 fn cells() -> Vec<(StrategyKind, u64)> {
@@ -142,6 +145,12 @@ fn round_trace(min_parallel_peers: usize, memoize: bool) -> String {
         .build();
     let mut engine = ProtocolEngine::new(SelfishStrategy, cfg);
     let outcome = engine.run(&mut tb.system, &mut net);
+    render_run(&outcome, &net)
+}
+
+/// Every round of `outcome` to full bit precision, then the message
+/// total — [`round_trace`]'s rendering.
+fn render_run(outcome: &RunOutcome, net: &SimNetwork) -> String {
     let mut out = String::new();
     for r in &outcome.rounds {
         let _ = write!(out, "round {}:", r.round);
@@ -272,6 +281,71 @@ fn proposal_memo_preserves_protocol_bytes() {
         "a quiet re-run must be served entirely from the memo"
     );
     assert!(rerun.total_memoized() > 0);
+}
+
+/// An observed selfish repair rendered like [`round_trace`], with the
+/// run's per-round memo hits: one period absorbed on the ideal small
+/// testbed, then two peers of every category moved one category over
+/// (no cluster empties, so the candidate sequence holds and the
+/// frozen-snapshot gate can serve every peer that did not move).
+fn observed_round_trace(min_parallel_peers: usize, memoize: bool) -> (String, Vec<usize>) {
+    let cfg = ExperimentConfig::small(23);
+    let mut tb = ideal_scenario1_system(&cfg);
+    let mut stats = ObservedStats::new(0.0);
+    stats.absorb(&simulate_period(&tb.system, &mut SimNetwork::new()));
+    let per_category = cfg.n_peers / cfg.n_categories;
+    for k in 0..cfg.n_categories {
+        for j in 0..2 {
+            let peer = PeerId::from_index(k * per_category + j);
+            let to = ClusterId::from_index((k + 1) % cfg.n_categories);
+            tb.system.move_peer(peer, to);
+        }
+    }
+    let mut net = SimNetwork::new();
+    let protocol = ProtocolConfig::builder()
+        .max_rounds(40)
+        .min_parallel_peers(min_parallel_peers)
+        .memoize(memoize)
+        .build();
+    let mut engine = ProtocolEngine::new(ObservedStrategy::selfish(&stats), protocol);
+    let outcome = engine.run(&mut tb.system, &mut net);
+    let hits = outcome
+        .rounds
+        .iter()
+        .map(|r| r.proposals_memoized)
+        .collect();
+    (render_run(&outcome, &net), hits)
+}
+
+/// The frozen-snapshot gate of observed selfish proposals changes
+/// counters only: memo on and off render the same repair byte for
+/// byte, rounds after the first are served from the memo, and phase 1
+/// forced parallel under pinned 1/2/8-worker pools agrees too.
+#[test]
+fn observed_proposal_memo_preserves_protocol_bytes() {
+    let (memo_on, hits) = observed_round_trace(usize::MAX, true);
+    let (memo_off, no_hits) = observed_round_trace(usize::MAX, false);
+    assert_eq!(memo_on.as_bytes(), memo_off.as_bytes());
+    assert!(
+        hits.len() > 1,
+        "the shock must take a repair round: {memo_on}"
+    );
+    assert_eq!(hits[0], 0, "round 0 starts from an empty memo");
+    assert!(hits[1..].iter().sum::<usize>() > 0, "no hits after round 0");
+    assert!(no_hits.iter().all(|&h| h == 0));
+    for threads in [1usize, 2, 8] {
+        let (parallel, parallel_hits) = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("shim pool build never fails")
+            .install(|| observed_round_trace(1, true));
+        assert_eq!(
+            memo_on.as_bytes(),
+            parallel.as_bytes(),
+            "{threads}-thread observed repair diverged"
+        );
+        assert_eq!(hits, parallel_hits);
+    }
 }
 
 /// Observed-mode churn rendered to full bit precision: every period row
